@@ -258,9 +258,14 @@ func BenchmarkRunAllQuick(b *testing.B) {
 
 // BenchmarkRunAllParallel contrasts the serial and fanned-out full
 // regeneration: both produce identical bytes, the second spreads experiments
-// and their internal sweeps across every core.
+// and their internal sweeps across every core. On a 1-CPU host the two
+// coincide, so only the serial row runs.
 func BenchmarkRunAllParallel(b *testing.B) {
-	for _, workers := range []int{1, runtime.NumCPU()} {
+	sweep := []int{1}
+	if n := runtime.NumCPU(); n > 1 {
+		sweep = append(sweep, n)
+	}
+	for _, workers := range sweep {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			o := benchOpts()
 			o.Workers = workers

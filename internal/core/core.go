@@ -256,18 +256,13 @@ func Profile(cells []ran.CellConfig, slots int, model *costmodel.Model, poolCore
 	return out
 }
 
-// TrainPredictors runs Algorithm 1 for every profiled task kind: feature
-// selection (distance correlation + backwards elimination + hand-picked)
-// followed by quantile-tree training, with kinds trained on the default
-// worker count. Equivalent to TrainPredictorsWorkers(data, margin, 0).
-func TrainPredictors(data map[ran.TaskKind][]predictor.Sample, margin float64) (pool.PredictorSet, error) {
-	return TrainPredictorsWorkers(data, margin, 0)
-}
-
-// TrainPredictorsWorkers trains the per-kind quantile trees on at most
-// workers goroutines. Each kind's tree depends only on that kind's samples,
-// so the resulting predictor set is identical for every worker count; kinds
-// are processed in sorted order so error reporting is deterministic too.
+// TrainPredictorsWorkers runs Algorithm 1 for every profiled task kind:
+// feature selection (distance correlation + backwards elimination +
+// hand-picked) followed by quantile-tree training, on at most workers
+// goroutines (0 means the default worker count). Each kind's tree depends
+// only on that kind's samples, so the resulting predictor set is identical
+// for every worker count; kinds are processed in sorted order so error
+// reporting is deterministic too.
 func TrainPredictorsWorkers(data map[ran.TaskKind][]predictor.Sample, margin float64, workers int) (pool.PredictorSet, error) {
 	if len(data) == 0 {
 		return nil, errors.New("core: empty training data")

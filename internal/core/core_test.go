@@ -26,7 +26,7 @@ func TestProfileCoversKinds(t *testing.T) {
 func TestTrainPredictorsProducesTrees(t *testing.T) {
 	model := costmodel.New(2)
 	data := Profile(ran.Cells100MHz(1), 600, model, 4, 3)
-	set, err := TrainPredictors(data, 1.0)
+	set, err := TrainPredictorsWorkers(data, 1.0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestTrainPredictorsProducesTrees(t *testing.T) {
 }
 
 func TestTrainPredictorsEmpty(t *testing.T) {
-	if _, err := TrainPredictors(nil, 1.0); err == nil {
+	if _, err := TrainPredictorsWorkers(nil, 1.0, 0); err == nil {
 		t.Fatal("empty training data accepted")
 	}
 }

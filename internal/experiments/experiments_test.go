@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -423,6 +424,37 @@ func TestCalibration(t *testing.T) {
 	}
 	if r.ModelIters[0] <= r.ModelIters[len(r.ModelIters)-1] {
 		t.Errorf("model factor did not fall with SNR: %v", r.ModelIters)
+	}
+}
+
+// TestCalibrationPinned pins calibration's deterministic columns to the
+// values the LDPC code, AWGN channel and RNG draw order produced when this
+// test was written, so a refactor of internal/phy or internal/rng that
+// changes a bit or a draw fails here. RealUs is host time and is not pinned.
+// A change to these literals must be explained in CHANGES.md.
+func TestCalibrationPinned(t *testing.T) {
+	r, err := RunCalibration(Quick())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name      string
+		got, want []float64
+	}{
+		{"RealIters", r.RealIters, []float64{5.333333333333333, 2.0555555555555554, 1, 1, 1}},
+		{"ModelUs", r.ModelUs, []float64{35.611, 65.223, 124.446, 242.893}},
+		{"ModelIters", r.ModelIters, []float64{1.8239613312213883, 1.5311021215114768, 1.303023139659725, 0.9870581546623232, 0.7300699815022416}},
+	} {
+		if len(c.got) != len(c.want) {
+			t.Fatalf("%s: %d values, want %d", c.name, len(c.got), len(c.want))
+		}
+		for i := range c.want {
+			// Relative 1e-9 absorbs fused multiply-add differences between
+			// architectures; any real change moves a value far more.
+			if math.Abs(c.got[i]-c.want[i]) > 1e-9*math.Abs(c.want[i]) {
+				t.Errorf("%s[%d] = %v, pinned %v", c.name, i, c.got[i], c.want[i])
+			}
+		}
 	}
 }
 

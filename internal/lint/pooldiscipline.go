@@ -149,7 +149,7 @@ func aliasedOrigin(pass *analysis.Pass, e ast.Expr, origins map[types.Object]boo
 // package-level variable does. A field or element reached from a non-local
 // root, or through a local pointer/map (memory someone else can also reach),
 // does. exempt names an object whose stores are sanctioned — scratchalias
-// passes the method receiver so the store-back idiom (t.rxLLR = llr) stays
+// passes the method receiver so the store-back idiom (c.scratch = out) stays
 // legal. The returned description names the escape route for the
 // diagnostic.
 func storeEscapes(pass *analysis.Pass, fn *ast.FuncDecl, lhs ast.Expr, exempt types.Object) (bool, string) {
@@ -178,8 +178,8 @@ func storeEscapes(pass *analysis.Pass, fn *ast.FuncDecl, lhs ast.Expr, exempt ty
 }
 
 // exprKey renders a canonical spelling for a scratch-buffer argument so two
-// builder calls on the same buffer can be recognized (t.rxLLR, llr[:n] →
-// "llr", &t.rxDec[i] → "t.rxDec[i]"). Unrenderable expressions and nil key
+// builder calls on the same buffer can be recognized (buf, buf[:n] →
+// "buf", &c.dec[i] → "c.dec[i]"). Unrenderable expressions and nil key
 // as "", meaning "not trackable".
 func exprKey(e ast.Expr) string {
 	switch x := e.(type) {

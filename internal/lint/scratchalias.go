@@ -10,14 +10,15 @@ import (
 )
 
 // ScratchAlias enforces the scratch-reuse builder contract from DESIGN.md
-// §5f: the return value of a *Into/*Append builder (DemodulateLLRInto,
-// DematchInto, ofdm.DemodulateAppend, ...) aliases the caller-provided
-// scratch buffer and is valid only until the next builder call on that same
-// buffer. Two things break that contract: retaining the result somewhere
-// long-lived (the next call silently rewrites it underneath the holder),
-// and reading a previous result after a second call reused the backing
-// array. The sanctioned idiom — storing the possibly-grown slice back into
-// the receiver's own scratch field (t.rxLLR = llr) — is exempt.
+// §5f: the return value of a *Into/*Append builder (ran.BuildUplinkDAGInto,
+// or any method that fills a caller-provided slice and hands back the
+// written view) aliases the caller-provided scratch buffer and is valid only
+// until the next builder call on that same buffer. Two things break that
+// contract: retaining the result somewhere long-lived (the next call
+// silently rewrites it underneath the holder), and reading a previous
+// result after a second call reused the backing array. The sanctioned
+// idiom — storing the possibly-grown slice back into the receiver's own
+// scratch field (c.scratch = out) — is exempt.
 var ScratchAlias = &analysis.Analyzer{
 	Name: "scratchalias",
 	Doc: "forbid retaining *Into/*Append builder results beyond the next call on the " +

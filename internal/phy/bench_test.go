@@ -2,7 +2,6 @@ package phy
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -33,7 +32,7 @@ func noisyLLRs(b testing.TB, code *LDPCCode, snrDB float64, r *rng.Rand) []float
 }
 
 // BenchmarkLDPCDecode measures one min-sum decode of a full-size codeblock
-// at a mid-range SNR (the hot kernel of the RX chain).
+// at a mid-range SNR.
 func BenchmarkLDPCDecode(b *testing.B) {
 	const k = 8448
 	code, err := NewLDPCCode(k, k/2+4, 9)
@@ -67,44 +66,6 @@ func BenchmarkLDPCDecodeParallel(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkTransceiverLoopback runs the full TX→AWGN→RX chain for a
-// multi-codeblock transport block, per worker setting.
-func BenchmarkTransceiverLoopback(b *testing.B) {
-	for _, workers := range []int{1, runtime.NumCPU()} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			tx, err := NewTransceiver(TransceiverConfig{
-				TBBits:   60000, // 8 codeblocks
-				Mod:      QAM16,
-				CodeRate: 0.5,
-				CInit:    777,
-				FFTSize:  2048,
-				CPLen:    144,
-				Carriers: 1200,
-				LDPCSeed: 9,
-				Workers:  workers,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			r := rng.New(5)
-			payload := make([]byte, 60000)
-			for i := range payload {
-				payload[i] = byte(r.Intn(2))
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := tx.Loopback(payload, 8, rng.New(uint64(i)))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !res.OK {
-					b.Fatal("loopback failed CRC at 8 dB")
-				}
-			}
-		})
-	}
 }
 
 // TestLDPCDecodeConcurrentSafe hammers one code from many goroutines and
@@ -158,63 +119,5 @@ func TestLDPCDecodeConcurrentSafe(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
-	}
-}
-
-// TestReceiveWorkersDeterministic checks the parallel RX path returns the
-// identical RxResult for any worker count.
-func TestReceiveWorkersDeterministic(t *testing.T) {
-	const tb = 40000 // several codeblocks
-	build := func(workers int) *Transceiver {
-		tx, err := NewTransceiver(TransceiverConfig{
-			TBBits:   tb,
-			Mod:      QAM16,
-			CodeRate: 0.5,
-			CInit:    777,
-			FFTSize:  1024,
-			CPLen:    72,
-			Carriers: 600,
-			LDPCSeed: 9,
-			Workers:  workers,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tx
-	}
-	serial := build(1)
-	r := rng.New(11)
-	payload := make([]byte, tb)
-	for i := range payload {
-		payload[i] = byte(r.Intn(2))
-	}
-	td, err := serial.Transmit(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch := NewAWGNChannel(6, r)
-	samples := ch.Transmit(td)
-	want, err := serial.Receive(samples, ch.NoiseVar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, 8} {
-		tx := build(workers)
-		got, err := tx.Receive(samples, ch.NoiseVar)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.OK != want.OK || got.TotalIterations != want.TotalIterations {
-			t.Fatalf("workers=%d: OK=%v iters=%d, want OK=%v iters=%d",
-				workers, got.OK, got.TotalIterations, want.OK, want.TotalIterations)
-		}
-		if len(got.Payload) != len(want.Payload) {
-			t.Fatalf("workers=%d: payload length %d want %d", workers, len(got.Payload), len(want.Payload))
-		}
-		for i := range want.Payload {
-			if got.Payload[i] != want.Payload[i] {
-				t.Fatalf("workers=%d: payload bit %d differs", workers, i)
-			}
-		}
 	}
 }

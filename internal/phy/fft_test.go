@@ -161,35 +161,6 @@ func TestOFDMCyclicPrefix(t *testing.T) {
 	}
 }
 
-func TestOFDMQAMEndToEnd(t *testing.T) {
-	// Full physical chain: QAM → OFDM → AWGN → OFDM⁻¹ → LLR demap.
-	r := rng.New(4)
-	o, _ := NewOFDM(256, 18, 240)
-	bits := randomBits(r, 240*4)
-	syms, _ := QAM16.Modulate(bits)
-	td, err := o.Modulate(syms)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch := NewAWGNChannel(25, r)
-	rx, err := o.Demodulate(ch.Transmit(td))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Noise per demodulated carrier: time-domain variance divided by the
-	// OFDM processing gain (norm² / n).
-	llr, _ := QAM16.DemodulateLLR(rx, ch.NoiseVar*240/256)
-	errs := 0
-	for i, b := range HardDecision(llr) {
-		if b != bits[i] {
-			errs++
-		}
-	}
-	if float64(errs)/float64(len(bits)) > 0.02 {
-		t.Fatalf("OFDM end-to-end BER %d/%d too high at 25 dB", errs, len(bits))
-	}
-}
-
 func BenchmarkFFT4096(b *testing.B) {
 	f, _ := NewFFT(4096)
 	r := rng.New(1)

@@ -1,7 +1,26 @@
+// Package phy is the slice of the 5G physical layer this reproduction
+// actually runs. It has two jobs:
+//
+//   - The calibration experiment decodes real LDPC codewords sent over an
+//     AWGN channel and checks that the analytic cost model
+//     (internal/costmodel) has the right shape: decode time linear in
+//     codeblocks, decoder iterations falling as SNR rises.
+//   - internal/ran takes its 38.212 transport-block segmentation arithmetic
+//     (Segment) and modulation orders (Modulation) from here.
+//
+// No task runtime the scheduler or the predictor sees comes from this
+// package; those come from the cost model. The LDPC code is a seeded construction of the
+// same shape as the 38.212 base graphs, a substitution documented in
+// DESIGN.md.
+//
+// Four standalone primitives that nothing outside this package calls yet
+// remain: CRC attachment (crc.go), the FFT and CP-OFDM (fft.go), Gold-sequence
+// scrambling (scramble.go) and the convolutional code with its Viterbi
+// decoder (viterbi.go). They share no code with the two jobs above and are
+// queued for deletion (ROADMAP item 4).
 package phy
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -127,9 +146,6 @@ func NewLDPCCode(k, m int, seed uint64) (*LDPCCode, error) {
 // N returns the codeword length K+M.
 func (c *LDPCCode) N() int { return c.K + c.M }
 
-// Rate returns the code rate K/N.
-func (c *LDPCCode) Rate() float64 { return float64(c.K) / float64(c.N()) }
-
 // Encode maps K information bits to an N-bit systematic codeword
 // [info | parity]. The accumulator makes parity bit r satisfy
 // p_r = p_{r-1} ⊕ (A·u)_r.
@@ -188,10 +204,9 @@ type DecodeResult struct {
 //
 // Decode borrows per-call working state from an internal pool while reading
 // only the immutable Tanner graph, so concurrent Decode calls on a single
-// LDPCCode value are safe — this is what lets a transceiver decode a
-// transport block's codeblocks in parallel. The result is a pure function
-// of the LLRs: the worker that performs the decode never changes the bits
-// or iteration count.
+// LDPCCode value are safe. The result is a pure function of the LLRs: the
+// goroutine that performs the decode never changes the bits or iteration
+// count.
 func (c *LDPCCode) Decode(llr []float64) (*DecodeResult, error) {
 	res := new(DecodeResult)
 	if err := c.DecodeInto(res, llr); err != nil {
@@ -290,10 +305,6 @@ func (c *LDPCCode) DecodeInto(res *DecodeResult, llr []float64) error {
 	res.Converged = false
 	return nil
 }
-
-// ErrBlockTooLarge is returned when a requested codeblock exceeds the 38.212
-// maximum information block size.
-var ErrBlockTooLarge = errors.New("phy: codeblock exceeds 8448-bit LDPC limit")
 
 // MaxCodeblockBits mirrors the 38.212 base-graph-1 limit of 8448 information
 // bits per LDPC codeblock.

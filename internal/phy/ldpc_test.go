@@ -7,6 +7,14 @@ import (
 	"concordia/internal/rng"
 )
 
+func randomBits(r *rng.Rand, n int) []byte {
+	out := make([]byte, n)
+	for i := range out {
+		out[i] = byte(r.Intn(2))
+	}
+	return out
+}
+
 func TestLDPCConstruction(t *testing.T) {
 	c, err := NewLDPCCode(100, 50, 1)
 	if err != nil {
@@ -15,7 +23,7 @@ func TestLDPCConstruction(t *testing.T) {
 	if c.N() != 150 {
 		t.Fatalf("N = %d", c.N())
 	}
-	if r := c.Rate(); r < 0.66 || r > 0.67 {
+	if r := float64(c.K) / float64(c.N()); r < 0.66 || r > 0.67 {
 		t.Fatalf("rate %v", r)
 	}
 }

@@ -19,8 +19,6 @@ package slo
 import (
 	"fmt"
 	"math"
-
-	"concordia/internal/sim"
 )
 
 // SketchConfig fixes a sketch's resolution. Two sketches merge only when
@@ -154,9 +152,6 @@ func (s *Sketch) Record(v int64) {
 		s.clamped++
 	}
 }
-
-// RecordTime adds one sim.Time duration.
-func (s *Sketch) RecordTime(d sim.Time) { s.Record(int64(d)) }
 
 // Count returns the number of recorded values.
 func (s *Sketch) Count() uint64 { return s.count }
