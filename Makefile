@@ -45,8 +45,8 @@ tools:
 # would blow the per-package timeout on small machines (the race detector
 # slows the experiment harness severalfold), so race coverage is split: all
 # packages in -short mode, then full runs of the packages that own
-# concurrency (worker pool, RNG substreams, the LDPC decoder's pooled
-# scratch under concurrent decodes), then a targeted slice of the
+# concurrency (worker pool, RNG substreams, concurrent LDPC decoders
+# sharing one code), then a targeted slice of the
 # worker-determinism sweep at the module root.
 check: lint
 	$(GO) test -timeout 20m ./...

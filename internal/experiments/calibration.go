@@ -42,6 +42,7 @@ func RunCalibration(o Options) (*CalibrationResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	dec := code.NewDecoder()
 	trials := int(30 * o.Scale * 25)
 	if trials < 4 {
 		trials = 4
@@ -67,12 +68,12 @@ func RunCalibration(o Options) (*CalibrationResult, error) {
 			llr[i] = 2 * real(y) / ch.NoiseVar
 		}
 		start := time.Now() //lint:allow walltime calibration times the real Go LDPC decoder on the host to validate the cost model's shape
-		dec, err := code.Decode(llr)
+		res, err := dec.Decode(llr)
 		if err != nil {
 			return 0, 0, err
 		}
 		//lint:allow walltime host-time delta for the sanctioned decoder calibration measurement
-		return time.Since(start), dec.Iterations, nil
+		return time.Since(start), res.Iterations, nil
 	}
 
 	// Codeblock scaling: decode cbs blocks back to back at 10 dB.

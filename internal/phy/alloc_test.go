@@ -7,10 +7,11 @@ import (
 )
 
 // Zero-alloc gates for scratch reuse (DESIGN.md §5f): a warmed LDPC
-// DecodeInto and a warmed OFDM Append round trip must stop allocating once
-// their destination capacity and pooled scratch exist. These pin the
-// contract so a refactor that quietly reintroduces per-call garbage fails
-// loudly instead of showing up as GC pressure in the calibration experiment.
+// Decoder.DecodeInto and a warmed OFDM Append round trip must stop
+// allocating once their destination capacity and scratch exist. These pin
+// the contract so a refactor that quietly reintroduces per-call garbage
+// fails loudly instead of showing up as GC pressure in the calibration
+// experiment.
 
 func TestLDPCDecodeIntoZeroAlloc(t *testing.T) {
 	code, err := NewLDPCCode(256, 132, 7)
@@ -30,12 +31,13 @@ func TestLDPCDecodeIntoZeroAlloc(t *testing.T) {
 	for i, b := range cw {
 		llr[i] = 4 * (1 - 2*float64(b))
 	}
+	dec := code.NewDecoder()
 	var res DecodeResult
-	if err := code.DecodeInto(&res, llr); err != nil { // warm scratch + Info
+	if err := dec.DecodeInto(&res, llr); err != nil { // warm Info
 		t.Fatal(err)
 	}
 	if a := testing.AllocsPerRun(100, func() {
-		if err := code.DecodeInto(&res, llr); err != nil {
+		if err := dec.DecodeInto(&res, llr); err != nil {
 			t.Error(err)
 		}
 	}); a != 0 {

@@ -40,16 +40,17 @@ func BenchmarkLDPCDecode(b *testing.B) {
 		b.Fatal(err)
 	}
 	llr := noisyLLRs(b, code, 6, rng.New(1))
+	dec := code.NewDecoder()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := code.Decode(llr); err != nil {
+		if _, err := dec.Decode(llr); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkLDPCDecodeParallel decodes the same codeblock from all
-// GOMAXPROCS goroutines at once: the pooled-scratch design should scale
+// GOMAXPROCS goroutines at once, each with its own Decoder: it should scale
 // near-linearly because the Tanner graph is shared read-only.
 func BenchmarkLDPCDecodeParallel(b *testing.B) {
 	const k = 8448
@@ -60,17 +61,19 @@ func BenchmarkLDPCDecodeParallel(b *testing.B) {
 	llr := noisyLLRs(b, code, 6, rng.New(1))
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
+		dec := code.NewDecoder()
 		for pb.Next() {
-			if _, err := code.Decode(llr); err != nil {
+			if _, err := dec.Decode(llr); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 }
 
-// TestLDPCDecodeConcurrentSafe hammers one code from many goroutines and
-// checks every result is bit-for-bit the serial result — the contract the
-// pooled scratch state must provide.
+// TestLDPCDecodeConcurrentSafe decodes with one shared code from many
+// goroutines, each owning one Decoder that it reuses across codeblocks, and
+// checks every result is bit-for-bit the serial result: the code must stay
+// read-only, and a Decoder must carry nothing from one decode to the next.
 func TestLDPCDecodeConcurrentSafe(t *testing.T) {
 	const k = 1024
 	code, err := NewLDPCCode(k, k/2+4, 3)
@@ -83,7 +86,7 @@ func TestLDPCDecodeConcurrentSafe(t *testing.T) {
 	want := make([]*DecodeResult, cases)
 	for i := range llrs {
 		llrs[i] = noisyLLRs(t, code, 4, r)
-		want[i], err = code.Decode(llrs[i])
+		want[i], err = code.NewDecoder().Decode(llrs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,10 +97,11 @@ func TestLDPCDecodeConcurrentSafe(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			dec := code.NewDecoder()
+			var got DecodeResult
 			for rep := 0; rep < 4; rep++ {
 				i := (g + rep) % cases
-				got, err := code.Decode(llrs[i])
-				if err != nil {
+				if err := dec.DecodeInto(&got, llrs[i]); err != nil {
 					errs <- err
 					return
 				}

@@ -23,7 +23,6 @@ package phy
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"concordia/internal/rng"
 )
@@ -45,7 +44,7 @@ type LDPCCode struct {
 	M int // parity bits per codeblock
 
 	// The Tanner graph below is immutable after construction and therefore
-	// shared freely across concurrent decoders.
+	// shared freely by every Decoder of the code.
 	//
 	// checkVars[r] lists the information-bit columns participating in check
 	// row r (the row support of A).
@@ -53,35 +52,36 @@ type LDPCCode struct {
 	// edges[r] lists every variable index (information and parity) adjacent
 	// to check r in the full Tanner graph, including accumulator edges.
 	edges [][]int
-
-	// scratch pools per-worker message/posterior buffers: Decode borrows one
-	// set per call, so concurrent Decode calls on the same code are safe and
-	// steady-state decoding stays allocation-free.
-	scratch sync.Pool
 }
 
-// ldpcScratch is the mutable working state of one belief-propagation run:
-// everything Decode writes lives here, keeping LDPCCode itself read-only
-// during decoding.
-type ldpcScratch struct {
+// Decoder is the mutable working state of belief-propagation decoding for
+// one code: everything a decode writes lives here, keeping LDPCCode itself
+// read-only. A Decoder is reused across calls, so steady-state decoding is
+// allocation-free, but it must not be used by two goroutines at once; give
+// each goroutine its own from NewDecoder.
+type Decoder struct {
+	code      *LDPCCode
 	checkMsg  [][]float64
 	vmsg      [][]float64
 	posterior []float64
 	hard      []byte
 }
 
-func (c *LDPCCode) newScratch() *ldpcScratch {
-	s := &ldpcScratch{
+// NewDecoder returns a decoder for the code with its message and posterior
+// buffers allocated.
+func (c *LDPCCode) NewDecoder() *Decoder {
+	d := &Decoder{
+		code:      c,
 		checkMsg:  make([][]float64, c.M),
 		vmsg:      make([][]float64, c.M),
 		posterior: make([]float64, c.N()),
 		hard:      make([]byte, c.N()),
 	}
 	for r := 0; r < c.M; r++ {
-		s.checkMsg[r] = make([]float64, len(c.edges[r]))
-		s.vmsg[r] = make([]float64, len(c.edges[r]))
+		d.checkMsg[r] = make([]float64, len(c.edges[r]))
+		d.vmsg[r] = make([]float64, len(c.edges[r]))
 	}
-	return s
+	return d
 }
 
 // MaxLDPCIterations is the decoder iteration cap, matching the bounded
@@ -139,7 +139,6 @@ func NewLDPCCode(k, m int, seed uint64) (*LDPCCode, error) {
 		}
 		c.edges[row] = es
 	}
-	c.scratch.New = func() any { return c.newScratch() }
 	return c, nil
 }
 
@@ -202,14 +201,11 @@ type DecodeResult struct {
 // early when the syndrome check passes; the iteration count is the quantity
 // whose SNR dependence the paper's WCET predictor must capture.
 //
-// Decode borrows per-call working state from an internal pool while reading
-// only the immutable Tanner graph, so concurrent Decode calls on a single
-// LDPCCode value are safe. The result is a pure function of the LLRs: the
-// goroutine that performs the decode never changes the bits or iteration
-// count.
-func (c *LDPCCode) Decode(llr []float64) (*DecodeResult, error) {
+// The result is a pure function of the LLRs: no state carries over from
+// one decode to the next.
+func (d *Decoder) Decode(llr []float64) (*DecodeResult, error) {
 	res := new(DecodeResult)
-	if err := c.DecodeInto(res, llr); err != nil {
+	if err := d.DecodeInto(res, llr); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -217,23 +213,21 @@ func (c *LDPCCode) Decode(llr []float64) (*DecodeResult, error) {
 
 // DecodeInto is Decode with a caller-owned result: res.Info's capacity is
 // reused across calls, so steady-state decoding of same-size codeblocks
-// allocates nothing (DESIGN.md §5f). Concurrent DecodeInto calls on one code
-// are safe as long as each goroutine owns its res.
-func (c *LDPCCode) DecodeInto(res *DecodeResult, llr []float64) error {
+// allocates nothing (DESIGN.md §5f).
+func (d *Decoder) DecodeInto(res *DecodeResult, llr []float64) error {
+	c := d.code
 	n := c.N()
 	if len(llr) != n {
 		return fmt.Errorf("phy: LDPC decode wants %d LLRs, got %d", n, len(llr))
 	}
 	const alpha = 0.8 // min-sum normalization factor
 
-	sc := c.scratch.Get().(*ldpcScratch)
-	defer c.scratch.Put(sc)
-	for r := range sc.checkMsg {
-		for i := range sc.checkMsg[r] {
-			sc.checkMsg[r][i] = 0
+	for r := range d.checkMsg {
+		for i := range d.checkMsg[r] {
+			d.checkMsg[r][i] = 0
 		}
 	}
-	posterior, hard := sc.posterior, sc.hard
+	posterior, hard := d.posterior, d.hard
 
 	for iter := 1; iter <= MaxLDPCIterations; iter++ {
 		// Flooding schedule: refresh posteriors from channel LLRs plus all
@@ -241,19 +235,19 @@ func (c *LDPCCode) DecodeInto(res *DecodeResult, llr []float64) error {
 		copy(posterior, llr)
 		for r := 0; r < c.M; r++ {
 			for i, v := range c.edges[r] {
-				posterior[v] += sc.checkMsg[r][i]
+				posterior[v] += d.checkMsg[r][i]
 			}
 		}
 		// Check update: normalized min-sum over variable-to-check messages
 		// (posterior minus this check's own previous contribution).
 		for r := 0; r < c.M; r++ {
 			es := c.edges[r]
-			vmsg := sc.vmsg[r]
+			vmsg := d.vmsg[r]
 			var sign float64 = 1
 			min1, min2 := math.Inf(1), math.Inf(1)
 			min1Idx := -1
 			for i, v := range es {
-				m := posterior[v] - sc.checkMsg[r][i]
+				m := posterior[v] - d.checkMsg[r][i]
 				vmsg[i] = m
 				a := math.Abs(m)
 				if m < 0 {
@@ -276,14 +270,14 @@ func (c *LDPCCode) DecodeInto(res *DecodeResult, llr []float64) error {
 				if vmsg[i] < 0 {
 					s = -s
 				}
-				sc.checkMsg[r][i] = alpha * s * mag
+				d.checkMsg[r][i] = alpha * s * mag
 			}
 		}
 		// Posterior + hard decision + syndrome.
 		copy(posterior, llr)
 		for r := 0; r < c.M; r++ {
 			for i, v := range c.edges[r] {
-				posterior[v] += sc.checkMsg[r][i]
+				posterior[v] += d.checkMsg[r][i]
 			}
 		}
 		for v := 0; v < n; v++ {

@@ -104,7 +104,7 @@ func TestLDPCDecodeNoiseless(t *testing.T) {
 			llr[i] = -10
 		}
 	}
-	res, err := c.Decode(llr)
+	res, err := c.NewDecoder().Decode(llr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,13 +120,14 @@ func TestLDPCDecodeNoiseless(t *testing.T) {
 
 func TestLDPCDecodeHighSNR(t *testing.T) {
 	c, _ := NewLDPCCode(512, 256, 8)
+	dec := c.NewDecoder()
 	r := rng.New(9)
 	failures := 0
 	const trials = 20
 	for trial := 0; trial < trials; trial++ {
 		info := randomBits(r, 512)
 		cw, _ := c.Encode(info)
-		res, err := c.Decode(codewordLLR(cw, 6, r))
+		res, err := dec.Decode(codewordLLR(cw, 6, r))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,6 +149,7 @@ func TestLDPCDecodeHighSNR(t *testing.T) {
 
 func TestLDPCIterationsIncreaseWithNoise(t *testing.T) {
 	c, _ := NewLDPCCode(512, 256, 10)
+	dec := c.NewDecoder()
 	r := rng.New(11)
 	avgIters := func(snrDB float64) float64 {
 		var total int
@@ -155,7 +157,7 @@ func TestLDPCIterationsIncreaseWithNoise(t *testing.T) {
 		for trial := 0; trial < trials; trial++ {
 			info := randomBits(r, 512)
 			cw, _ := c.Encode(info)
-			res, _ := c.Decode(codewordLLR(cw, snrDB, r))
+			res, _ := dec.Decode(codewordLLR(cw, snrDB, r))
 			total += res.Iterations
 		}
 		return float64(total) / trials
@@ -169,7 +171,7 @@ func TestLDPCIterationsIncreaseWithNoise(t *testing.T) {
 
 func TestLDPCDecodeWrongLength(t *testing.T) {
 	c, _ := NewLDPCCode(64, 32, 2)
-	if _, err := c.Decode(make([]float64, 10)); err == nil {
+	if _, err := c.NewDecoder().Decode(make([]float64, 10)); err == nil {
 		t.Fatal("wrong-length decode accepted")
 	}
 }
@@ -235,8 +237,9 @@ func BenchmarkLDPCDecode8448(b *testing.B) {
 	info := randomBits(r, 8448)
 	cw, _ := c.Encode(info)
 	llr := codewordLLR(cw, 6, r)
+	dec := c.NewDecoder()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _ = c.Decode(llr)
+		_, _ = dec.Decode(llr)
 	}
 }

@@ -27,6 +27,9 @@ func FuzzLoadQuantileTree(f *testing.F) {
 	f.Add([]byte(`{"nodes":[{"leaf":true,"leaf_id":0,"samples":[5]}]}`))
 	f.Add([]byte(`{"nodes":[{"leaf":false,"left":1,"right":1},{"leaf":true}]}`))
 	f.Add([]byte(`{`))
+	for _, c := range malformedLayouts {
+		f.Add([]byte(c.json))
+	}
 	f.Fuzz(func(t *testing.T, in []byte) {
 		loaded, err := LoadQuantileTree(in)
 		if err != nil {

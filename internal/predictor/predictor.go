@@ -33,10 +33,17 @@ type Sample struct {
 // RingBuffer is the per-leaf store of Algorithm 2: the most recent runtime
 // observations, whose maximum is the leaf's WCET prediction. The paper's
 // implementation sizes these at 5000 entries.
+//
+// The buffer keeps its maximum up to date on every Push, so Max is a field
+// read. Push rescans the buffer only when it evicts the current maximum and
+// the incoming value is smaller; for runtimes that are not sorted in time
+// that happens about once per capacity pushes.
 type RingBuffer struct {
 	buf  []sim.Time
 	next int
-	full bool
+	// max is the largest stored observation, floored at 0: Max reports 0
+	// for an empty buffer.
+	max sim.Time
 }
 
 // DefaultRingSize matches the paper's 5 K-entry leaf buffers.
@@ -54,40 +61,35 @@ func NewRingBuffer(capacity int) *RingBuffer {
 func (r *RingBuffer) Push(v sim.Time) {
 	if len(r.buf) < cap(r.buf) {
 		r.buf = append(r.buf, v)
+		if v > r.max {
+			r.max = v
+		}
 		return
 	}
-	r.full = true
+	old := r.buf[r.next]
 	r.buf[r.next] = v
-	r.next = (r.next + 1) % len(r.buf)
+	if r.next++; r.next == len(r.buf) {
+		r.next = 0
+	}
+	if v >= r.max {
+		r.max = v
+	} else if old == r.max {
+		r.max = 0
+		for _, x := range r.buf {
+			if x > r.max {
+				r.max = x
+			}
+		}
+	}
 }
 
 // Max returns the largest stored observation, or 0 when empty.
-func (r *RingBuffer) Max() sim.Time {
-	var m sim.Time
-	for _, v := range r.buf {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
+func (r *RingBuffer) Max() sim.Time { return r.max }
 
 // Len returns the number of stored observations.
 func (r *RingBuffer) Len() int { return len(r.buf) }
 
 // Values returns the stored observations (not a copy; callers must not
-// mutate).
+// mutate). Once the buffer has wrapped, the order is the slot order, not
+// the arrival order.
 func (r *RingBuffer) Values() []sim.Time { return r.buf }
-
-// Quantile returns the q-quantile of the stored observations, or 0 when
-// empty. Used by analysis tooling, not by the hot prediction path.
-func (r *RingBuffer) Quantile(q float64) sim.Time {
-	if len(r.buf) == 0 {
-		return 0
-	}
-	xs := make([]float64, len(r.buf))
-	for i, v := range r.buf {
-		xs[i] = float64(v)
-	}
-	return sim.Time(quantileOf(xs, q))
-}

@@ -2,6 +2,7 @@ package predictor
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -65,28 +66,62 @@ func TestRingBufferCapacityPanic(t *testing.T) {
 	NewRingBuffer(0)
 }
 
-func TestRingBufferMaxProperty(t *testing.T) {
-	// Max of the ring equals max of the last N pushed values.
-	err := quick.Check(func(raw []uint32) bool {
-		const n = 16
-		r := NewRingBuffer(n)
-		for _, v := range raw {
-			r.Push(sim.Time(v))
-		}
-		start := 0
-		if len(raw) > n {
-			start = len(raw) - n
-		}
+// checkMaxAfterEveryPush pushes vs into a ring of the given capacity and
+// compares Max with a naive scan of the last capacity values (floored at 0,
+// the empty-buffer answer) after every push.
+func checkMaxAfterEveryPush(t *testing.T, capacity int, vs []sim.Time) bool {
+	t.Helper()
+	r := NewRingBuffer(capacity)
+	for i, v := range vs {
+		r.Push(v)
 		var want sim.Time
-		for _, v := range raw[start:] {
-			if sim.Time(v) > want {
-				want = sim.Time(v)
+		for _, w := range vs[max(0, i+1-capacity) : i+1] {
+			if w > want {
+				want = w
 			}
 		}
-		return r.Max() == want
-	}, &quick.Config{MaxCount: 100})
+		if got := r.Max(); got != want {
+			t.Errorf("capacity %d, after push %d of %v: Max %v, want %v", capacity, i, vs[:i+1], got, want)
+			return false
+		}
+	}
+	return true
+}
+
+func TestRingBufferMaxProperty(t *testing.T) {
+	// Random capacities and values from a small range, so ties with the
+	// current maximum (and evictions of a tied maximum) are common.
+	err := quick.Check(func(capRaw uint8, raw []uint8) bool {
+		capacity := 1 + int(capRaw%16)
+		vs := make([]sim.Time, len(raw))
+		for i, v := range raw {
+			vs[i] = sim.Time(v % 8)
+		}
+		return checkMaxAfterEveryPush(t, capacity, vs)
+	}, &quick.Config{MaxCount: 500})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Strictly decreasing runs evict the maximum on every push once full,
+	// so every push takes the rescan path; strictly increasing and constant
+	// runs never do. Each run wraps its ring many times, at capacity 1 too.
+	const n = 200
+	decreasing := make([]sim.Time, n)
+	increasing := make([]sim.Time, n)
+	constant := make([]sim.Time, n)
+	sawtooth := make([]sim.Time, n)
+	negative := make([]sim.Time, n)
+	for i := range decreasing {
+		decreasing[i] = sim.Time(n - i)
+		increasing[i] = sim.Time(i)
+		constant[i] = 7
+		sawtooth[i] = sim.Time(10 - i%10)
+		negative[i] = sim.Time(-1 - i%3)
+	}
+	for _, capacity := range []int{1, 2, 3, 7, 16} {
+		for _, vs := range [][]sim.Time{decreasing, increasing, constant, sawtooth, negative} {
+			checkMaxAfterEveryPush(t, capacity, vs)
+		}
 	}
 }
 
@@ -429,14 +464,43 @@ func TestSortSamplesHelper(t *testing.T) {
 	}
 }
 
+// BenchmarkTreePredict predicts on a default tree whose leaf rings are
+// all full, the steady state of a long run. (Trained on 8,000 samples
+// alone, no ring of the 128 leaves would be anywhere near its 5,000
+// entries.)
 func BenchmarkTreePredict(b *testing.B) {
 	data := profileDecode(8000, 30, costmodel.Env{PoolCores: 4})
 	tree, _ := TrainQuantileTree(ran.TaskLDPCDecode,
 		[]ran.Feature{ran.FCodeblocks, ran.FSNRdB}, data, TreeConfig{})
+	// Refill each ring from its own training runtimes.
+	for id := range tree.leaves {
+		ring := &tree.leaves[id].ring
+		train := slices.Clone(ring.Values())
+		for i := 0; ring.Len() < DefaultRingSize; i++ {
+			ring.Push(train[i%len(train)])
+		}
+	}
 	f := data[0].Features
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = tree.Predict(f)
+	}
+}
+
+// BenchmarkRingBufferPushDecreasing pushes strictly decreasing runtimes
+// into a full default-size ring: every push evicts the maximum and forces
+// the rescan, the worst case of the cached maximum.
+func BenchmarkRingBufferPushDecreasing(b *testing.B) {
+	r := NewRingBuffer(DefaultRingSize)
+	v := sim.Time(1 << 40)
+	for r.Len() < DefaultRingSize {
+		r.Push(v)
+		v--
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Push(v)
+		v--
 	}
 }
 
@@ -519,7 +583,7 @@ func TestLeafEVTAdapts(t *testing.T) {
 
 func TestRingBufferWrapAround(t *testing.T) {
 	r := NewRingBuffer(4)
-	// Partially filled: statistics cover exactly what was pushed.
+	// Partially filled: the buffer holds exactly what was pushed.
 	for _, v := range []sim.Time{30, 10, 20} {
 		r.Push(v)
 	}
@@ -529,8 +593,8 @@ func TestRingBufferWrapAround(t *testing.T) {
 	if got := r.Max(); got != 30 {
 		t.Fatalf("partial max %v, want 30", got)
 	}
-	if got := r.Quantile(0); got != 10 {
-		t.Fatalf("partial q0 %v, want 10", got)
+	if got, want := sortedValues(r), []sim.Time{10, 20, 30}; !slices.Equal(got, want) {
+		t.Fatalf("partial values %v, want %v", got, want)
 	}
 	// Six more pushes wrap the 4-slot ring: only the last four observations
 	// {7, 8, 9, 11} survive; the early maximum (30) must be evicted.
@@ -543,11 +607,8 @@ func TestRingBufferWrapAround(t *testing.T) {
 	if got := r.Max(); got != 11 {
 		t.Fatalf("wrapped max %v, want 11 (evicted 30 must not survive)", got)
 	}
-	if got := r.Quantile(1); got != 11 {
-		t.Fatalf("wrapped q1 %v, want 11", got)
-	}
-	if got := r.Quantile(0); got != 7 {
-		t.Fatalf("wrapped q0 %v, want 7 (oldest retained)", got)
+	if got, want := sortedValues(r), []sim.Time{7, 8, 9, 11}; !slices.Equal(got, want) {
+		t.Fatalf("wrapped values %v, want %v (7 is the oldest retained)", got, want)
 	}
 	// One more full lap: the ring now holds {100, 101, 102, 103} only.
 	for i := sim.Time(100); i < 104; i++ {
@@ -556,7 +617,14 @@ func TestRingBufferWrapAround(t *testing.T) {
 	if got, want := r.Max(), sim.Time(103); got != want {
 		t.Fatalf("relapped max %v, want %v", got, want)
 	}
-	if got, want := r.Quantile(0), sim.Time(100); got != want {
-		t.Fatalf("relapped q0 %v, want %v", got, want)
+	if got, want := sortedValues(r), []sim.Time{100, 101, 102, 103}; !slices.Equal(got, want) {
+		t.Fatalf("relapped values %v, want %v", got, want)
 	}
+}
+
+// sortedValues returns a sorted copy of the ring's contents.
+func sortedValues(r *RingBuffer) []sim.Time {
+	out := slices.Clone(r.Values())
+	slices.Sort(out)
+	return out
 }

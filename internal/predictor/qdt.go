@@ -21,8 +21,12 @@ import (
 type QuantileTree struct {
 	Kind     ran.TaskKind
 	Features []ran.Feature
-	root     *treeNode
-	leaves   []*treeNode
+	// nodes is the routing structure: a flat array in pre-order (root,
+	// left subtree, right subtree), the same layout MarshalJSON writes.
+	// Every child index is larger than its parent's.
+	nodes []node
+	// leaves holds the per-leaf state, indexed by leaf ID.
+	leaves []leaf
 	// splitBudget is the number of additional splits allowed while growing
 	// (MaxLeaves - 1); each split turns one pending leaf into two.
 	splitBudget int
@@ -31,16 +35,25 @@ type QuantileTree struct {
 	Margin float64
 }
 
-type treeNode struct {
-	// Internal nodes.
-	feature   ran.Feature
+// node is one entry of the flat routing array. An internal node sends a
+// feature vector to left when f[feature] <= threshold and to right
+// otherwise. A leaf has left == leafMark and stores its leaf ID in right.
+type node struct {
 	threshold float64
-	left      *treeNode
-	right     *treeNode
-	// Leaves.
-	leaf    bool
-	leafID  int
-	ring    *RingBuffer
+	feature   ran.Feature
+	left      int32
+	right     int32
+}
+
+// leafMark in node.left marks a leaf.
+const leafMark = -1
+
+func (n *node) isLeaf() bool { return n.left == leafMark }
+
+// leaf is the online state of one leaf: its ring of recent runtimes
+// (Algorithm 2) and the training statistics String reports.
+type leaf struct {
+	ring    RingBuffer
 	nTrain  int
 	meanT   float64
 	stddevT float64
@@ -48,12 +61,11 @@ type treeNode struct {
 
 // TreeConfig bounds offline tree growth.
 type TreeConfig struct {
-	MaxDepth    int // default 10
-	MinLeaf     int // default 30 samples per leaf
-	MaxLeaves   int // default 128
-	RingSize    int // default DefaultRingSize
-	Margin      float64
-	SeedOffline bool // pre-populate leaf rings with offline samples (default true behaviour is on)
+	MaxDepth  int // default 10
+	MinLeaf   int // default 30 samples per leaf
+	MaxLeaves int // default 128
+	RingSize  int // default DefaultRingSize
+	Margin    float64
 }
 
 func (c *TreeConfig) defaults() {
@@ -100,7 +112,7 @@ func TrainQuantileTree(kind ran.TaskKind, features []ran.Feature, data []Sample,
 
 // candidate is a growable node with its precomputed best split.
 type candidate struct {
-	node  *treeNode
+	node  int // index into t.nodes
 	idx   []int
 	depth int
 	gain  float64
@@ -115,8 +127,8 @@ type candidate struct {
 // a global leaf cap: depth-first growth would spend the whole budget on one
 // corner of the feature space and leave coarse giant leaves elsewhere.
 func (t *QuantileTree) growBestFirst(data []Sample, rootIdx []int, feats []ran.Feature, cfg TreeConfig) {
-	t.root = &treeNode{}
-	frontier := []*candidate{t.evalCandidate(t.root, data, rootIdx, 0, feats, cfg)}
+	t.nodes = []node{{}}
+	frontier := []*candidate{t.evalCandidate(0, data, rootIdx, 0, feats, cfg)}
 	for t.splitBudget > 0 {
 		// Pick the best splittable candidate (frontier is small: ≤ leaves).
 		best := -1
@@ -144,22 +156,28 @@ func (t *QuantileTree) growBestFirst(data []Sample, rootIdx []int, feats []ran.F
 			continue
 		}
 		t.splitBudget--
-		c.node.feature = c.feat
-		c.node.threshold = c.thr
-		c.node.left = &treeNode{}
-		c.node.right = &treeNode{}
+		left := len(t.nodes)
+		t.nodes = append(t.nodes, node{}, node{})
+		t.nodes[c.node] = node{threshold: c.thr, feature: c.feat, left: int32(left), right: int32(left + 1)}
 		frontier = append(frontier,
-			t.evalCandidate(c.node.left, data, leftIdx, c.depth+1, feats, cfg),
-			t.evalCandidate(c.node.right, data, rightIdx, c.depth+1, feats, cfg))
+			t.evalCandidate(left, data, leftIdx, c.depth+1, feats, cfg),
+			t.evalCandidate(left+1, data, rightIdx, c.depth+1, feats, cfg))
 	}
 	// Everything left on the frontier becomes a leaf.
 	for _, c := range frontier {
 		t.fillLeaf(c.node, data, c.idx, cfg)
 	}
+	// Growth appended nodes in split order; route over pre-order instead,
+	// the layout MarshalJSON writes and LoadQuantileTree reads.
+	nodes, err := preorder(t.nodes)
+	if err != nil {
+		panic(err) // growth only ever appends fresh children
+	}
+	t.nodes = nodes
 }
 
 // evalCandidate computes the best split available at a node.
-func (t *QuantileTree) evalCandidate(n *treeNode, data []Sample, idx []int, depth int, feats []ran.Feature, cfg TreeConfig) *candidate {
+func (t *QuantileTree) evalCandidate(n int, data []Sample, idx []int, depth int, feats []ran.Feature, cfg TreeConfig) *candidate {
 	c := &candidate{node: n, idx: idx, depth: depth}
 	if depth >= cfg.MaxDepth || len(idx) < 2*cfg.MinLeaf {
 		return c
@@ -240,51 +258,85 @@ func bestSplit(vals, runtime []float64, minLeaf int) (gain, threshold float64, o
 	return best, bestT, true
 }
 
-func (t *QuantileTree) fillLeaf(n *treeNode, data []Sample, idx []int, cfg TreeConfig) {
-	n.leaf = true
-	n.leafID = len(t.leaves)
-	n.ring = NewRingBuffer(cfg.RingSize)
+func (t *QuantileTree) fillLeaf(n int, data []Sample, idx []int, cfg TreeConfig) {
+	id := len(t.leaves)
+	t.nodes[n] = node{left: leafMark, right: int32(id)}
+	lf := leaf{ring: *NewRingBuffer(cfg.RingSize), nTrain: len(idx)}
 	var runtimes []float64
 	for _, j := range idx {
-		n.ring.Push(data[j].Runtime)
+		lf.ring.Push(data[j].Runtime)
 		runtimes = append(runtimes, float64(data[j].Runtime))
 	}
-	n.nTrain = len(idx)
-	n.meanT = stats.Mean(runtimes)
-	n.stddevT = stats.StdDev(runtimes)
-	t.leaves = append(t.leaves, n)
+	lf.meanT = stats.Mean(runtimes)
+	lf.stddevT = stats.StdDev(runtimes)
+	t.leaves = append(t.leaves, lf)
 }
 
-// findLeaf routes a feature vector to its leaf.
-func (t *QuantileTree) findLeaf(f ran.FeatureVector) *treeNode {
-	n := t.root
-	for !n.leaf {
-		if f.Get(n.feature) <= n.threshold {
-			n = n.left
-		} else {
-			n = n.right
+// preorder re-lays a tree out in pre-order. in[0] is the root and every
+// child index must exceed its parent's, so the walk terminates; a node
+// reached twice (a shared child) is an error. Nodes unreachable from the
+// root are dropped.
+func preorder(in []node) ([]node, error) {
+	order := make([]int, 0, len(in))
+	at := make([]int, len(in)) // new index + 1; 0 = not yet placed
+	stack := []int{0}
+	for len(stack) > 0 {
+		i := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if at[i] != 0 {
+			return nil, fmt.Errorf("predictor: node %d has two parents", i)
+		}
+		order = append(order, i)
+		at[i] = len(order)
+		if n := &in[i]; !n.isLeaf() {
+			stack = append(stack, int(n.right), int(n.left))
 		}
 	}
-	return n
+	out := make([]node, len(order))
+	for j, i := range order {
+		n := in[i]
+		if !n.isLeaf() {
+			n.left = int32(at[n.left] - 1)
+			n.right = int32(at[n.right] - 1)
+		}
+		out[j] = n
+	}
+	return out, nil
+}
+
+// findLeaf routes a feature vector to its leaf ID.
+func (t *QuantileTree) findLeaf(f *ran.FeatureVector) int {
+	nodes := t.nodes
+	i := 0
+	for {
+		n := &nodes[i]
+		if n.isLeaf() {
+			return int(n.right)
+		}
+		if f[n.feature] <= n.threshold {
+			i = int(n.left)
+		} else {
+			i = int(n.right)
+		}
+	}
 }
 
 // Predict implements Algorithm 2's prediction step: the maximum of the
 // matched leaf's ring buffer (times the optional safety margin).
 func (t *QuantileTree) Predict(f ran.FeatureVector) sim.Time {
-	leaf := t.findLeaf(f)
-	return sim.Time(float64(leaf.ring.Max()) * t.Margin)
+	return sim.Time(float64(t.leaves[t.findLeaf(&f)].ring.Max()) * t.Margin)
 }
 
 // Observe implements Algorithm 2's training step: push the measured runtime
 // into the matched leaf's ring buffer.
 func (t *QuantileTree) Observe(f ran.FeatureVector, runtime sim.Time) {
-	t.findLeaf(f).ring.Push(runtime)
+	t.leaves[t.findLeaf(&f)].ring.Push(runtime)
 }
 
 // LeafID returns the leaf index a feature vector routes to (used by the
 // Fig 7 leaf-distribution analysis).
 func (t *QuantileTree) LeafID(f ran.FeatureVector) int {
-	return t.findLeaf(f).leafID
+	return t.findLeaf(&f)
 }
 
 // NumLeaves returns the leaf count.
@@ -293,7 +345,7 @@ func (t *QuantileTree) NumLeaves() int { return len(t.leaves) }
 // LeafSamples returns the current ring-buffer contents of leaf id as
 // float64 nanoseconds.
 func (t *QuantileTree) LeafSamples(id int) []float64 {
-	if id < 0 || id >= len(t.leaves) || t.leaves[id] == nil {
+	if id < 0 || id >= len(t.leaves) {
 		return nil
 	}
 	vals := t.leaves[id].ring.Values()
@@ -304,38 +356,45 @@ func (t *QuantileTree) LeafSamples(id int) []float64 {
 	return out
 }
 
-// Depth returns the maximum depth of the tree (root = 0).
-func (t *QuantileTree) Depth() int { return depthOf(t.root) }
+// depths returns every node's depth (root = 0). Children follow their
+// parent in the array, so one forward pass suffices.
+func (t *QuantileTree) depths() []int {
+	d := make([]int, len(t.nodes))
+	for i := range t.nodes {
+		if n := &t.nodes[i]; !n.isLeaf() {
+			d[n.left] = d[i] + 1
+			d[n.right] = d[i] + 1
+		}
+	}
+	return d
+}
 
-func depthOf(n *treeNode) int {
-	if n == nil || n.leaf {
-		return 0
+// Depth returns the maximum depth of the tree (root = 0).
+func (t *QuantileTree) Depth() int {
+	deepest := 0
+	for _, d := range t.depths() {
+		if d > deepest {
+			deepest = d
+		}
 	}
-	l, r := depthOf(n.left), depthOf(n.right)
-	if l > r {
-		return l + 1
-	}
-	return r + 1
+	return deepest
 }
 
 // String renders the tree structure for debugging and documentation.
 func (t *QuantileTree) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "quantile tree for %v (%d leaves)\n", t.Kind, len(t.leaves))
-	dump(&sb, t.root, 0)
+	depth := t.depths()
+	for i := range t.nodes {
+		n := &t.nodes[i]
+		pad := strings.Repeat("  ", depth[i])
+		if n.isLeaf() {
+			lf := &t.leaves[n.right]
+			fmt.Fprintf(&sb, "%sleaf %d: n=%d mean=%.1fus sd=%.1fus\n",
+				pad, n.right, lf.nTrain, lf.meanT/1000, lf.stddevT/1000)
+			continue
+		}
+		fmt.Fprintf(&sb, "%s%v <= %.1f\n", pad, n.feature, n.threshold)
+	}
 	return sb.String()
 }
-
-func dump(sb *strings.Builder, n *treeNode, depth int) {
-	pad := strings.Repeat("  ", depth)
-	if n.leaf {
-		fmt.Fprintf(sb, "%sleaf %d: n=%d mean=%.1fus sd=%.1fus\n",
-			pad, n.leafID, n.nTrain, n.meanT/1000, n.stddevT/1000)
-		return
-	}
-	fmt.Fprintf(sb, "%s%v <= %.1f\n", pad, n.feature, n.threshold)
-	dump(sb, n.left, depth+1)
-	dump(sb, n.right, depth+1)
-}
-
-func quantileOf(xs []float64, q float64) float64 { return stats.Quantile(xs, q) }

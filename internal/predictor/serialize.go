@@ -52,46 +52,44 @@ func (t *QuantileTree) MarshalJSON() ([]byte, error) {
 	for _, f := range t.Features {
 		tj.Features = append(tj.Features, int(f))
 	}
-	var flatten func(n *treeNode) int
-	flatten = func(n *treeNode) int {
-		idx := len(tj.Nodes)
-		tj.Nodes = append(tj.Nodes, nodeJSON{})
-		if n.leaf {
-			vals := n.ring.Values()
-			keep := len(vals)
-			if keep > maxSerializedSamples {
-				keep = maxSerializedSamples
+	tj.Nodes = make([]nodeJSON, len(t.nodes))
+	for i := range t.nodes {
+		n := &t.nodes[i]
+		if !n.isLeaf() {
+			tj.Nodes[i] = nodeJSON{
+				Feature:   int(n.feature),
+				Threshold: n.threshold,
+				Left:      int(n.left),
+				Right:     int(n.right),
 			}
-			samples := make([]int64, 0, keep)
-			// Keep the largest values first so Max survives truncation.
-			max := n.ring.Max()
-			samples = append(samples, int64(max))
-			for _, v := range vals {
-				if len(samples) >= keep {
-					break
-				}
-				if v != max {
-					samples = append(samples, int64(v))
-				}
+			continue
+		}
+		ring := &t.leaves[n.right].ring
+		vals := ring.Values()
+		keep := len(vals)
+		if keep > maxSerializedSamples {
+			keep = maxSerializedSamples
+		}
+		samples := make([]int64, 0, keep)
+		// Keep the largest values first so Max survives truncation.
+		max := ring.Max()
+		samples = append(samples, int64(max))
+		for _, v := range vals {
+			if len(samples) >= keep {
+				break
 			}
-			tj.Nodes[idx] = nodeJSON{Leaf: true, LeafID: n.leafID, Samples: samples}
-			return idx
+			if v != max {
+				samples = append(samples, int64(v))
+			}
 		}
-		left := flatten(n.left)
-		right := flatten(n.right)
-		tj.Nodes[idx] = nodeJSON{
-			Feature:   int(n.feature),
-			Threshold: n.threshold,
-			Left:      left,
-			Right:     right,
-		}
-		return idx
-	}
-	if t.root != nil {
-		flatten(t.root)
+		tj.Nodes[i] = nodeJSON{Leaf: true, LeafID: int(n.right), Samples: samples}
 	}
 	return json.Marshal(tj)
 }
+
+// maxRingSize bounds the per-leaf ring a serialized tree may ask for; every
+// leaf allocates its ring up front.
+const maxRingSize = 1 << 20
 
 // LoadQuantileTree reconstructs a tree from MarshalJSON output. Leaf rings
 // are seeded with the persisted samples.
@@ -107,6 +105,9 @@ func LoadQuantileTree(data []byte) (*QuantileTree, error) {
 	if ringSize <= 0 {
 		ringSize = DefaultRingSize
 	}
+	if ringSize > maxRingSize {
+		return nil, fmt.Errorf("predictor: ring size %d above %d", ringSize, maxRingSize)
+	}
 	t := &QuantileTree{Kind: ran.TaskKind(tj.Kind), Margin: tj.Margin}
 	if t.Margin <= 0 {
 		t.Margin = 1
@@ -114,48 +115,58 @@ func LoadQuantileTree(data []byte) (*QuantileTree, error) {
 	for _, f := range tj.Features {
 		t.Features = append(t.Features, ran.Feature(f))
 	}
-	var build func(idx int) (*treeNode, error)
-	built := make(map[int]bool)
-	build = func(idx int) (*treeNode, error) {
-		if idx < 0 || idx >= len(tj.Nodes) || built[idx] {
-			return nil, fmt.Errorf("predictor: invalid node reference %d", idx)
-		}
-		built[idx] = true
-		nj := tj.Nodes[idx]
+	// Children must follow their parent, which rules out cycles; the
+	// pre-order pass then rejects shared children, and a tree it does not
+	// cover whole has unreachable nodes.
+	nodes := make([]node, len(tj.Nodes))
+	numLeaves := 0
+	for i, nj := range tj.Nodes {
 		if nj.Leaf {
-			n := &treeNode{leaf: true, leafID: nj.LeafID, ring: NewRingBuffer(ringSize)}
-			for _, v := range nj.Samples {
-				n.ring.Push(sim.Time(v))
-			}
-			for len(t.leaves) <= nj.LeafID {
-				t.leaves = append(t.leaves, nil)
-			}
-			if t.leaves[nj.LeafID] != nil {
-				return nil, fmt.Errorf("predictor: duplicate leaf id %d", nj.LeafID)
-			}
-			t.leaves[nj.LeafID] = n
-			return n, nil
+			nodes[i] = node{left: leafMark, right: int32(nj.LeafID)}
+			numLeaves++
+			continue
 		}
-		left, err := build(nj.Left)
-		if err != nil {
-			return nil, err
+		if nj.Feature < 0 || nj.Feature >= int(ran.NumFeatures) {
+			return nil, fmt.Errorf("predictor: node %d splits on unknown feature %d", i, nj.Feature)
 		}
-		right, err := build(nj.Right)
-		if err != nil {
-			return nil, err
+		for _, c := range [2]int{nj.Left, nj.Right} {
+			if c <= i || c >= len(tj.Nodes) {
+				return nil, fmt.Errorf("predictor: node %d has invalid child %d", i, c)
+			}
 		}
-		return &treeNode{
-			feature:   ran.Feature(nj.Feature),
+		nodes[i] = node{
 			threshold: nj.Threshold,
-			left:      left,
-			right:     right,
-		}, nil
+			feature:   ran.Feature(nj.Feature),
+			left:      int32(nj.Left),
+			right:     int32(nj.Right),
+		}
 	}
-	root, err := build(0)
+	nodes, err := preorder(nodes)
 	if err != nil {
 		return nil, err
 	}
-	t.root = root
+	if len(nodes) != len(tj.Nodes) {
+		return nil, fmt.Errorf("predictor: %d nodes unreachable from the root", len(tj.Nodes)-len(nodes))
+	}
+	t.nodes = nodes
+	// Leaf IDs index t.leaves, so they must be exactly 0..numLeaves-1.
+	t.leaves = make([]leaf, numLeaves)
+	for _, nj := range tj.Nodes {
+		if !nj.Leaf {
+			continue
+		}
+		if nj.LeafID < 0 || nj.LeafID >= numLeaves {
+			return nil, fmt.Errorf("predictor: leaf id %d outside 0..%d", nj.LeafID, numLeaves-1)
+		}
+		lf := &t.leaves[nj.LeafID]
+		if lf.ring.buf != nil {
+			return nil, fmt.Errorf("predictor: duplicate leaf id %d", nj.LeafID)
+		}
+		lf.ring = *NewRingBuffer(ringSize)
+		for _, v := range nj.Samples {
+			lf.ring.Push(sim.Time(v))
+		}
+	}
 	return t, nil
 }
 
@@ -170,22 +181,25 @@ func (t *QuantileTree) GenerateGo(name string) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "// Code generated from a trained quantile decision tree for %v. DO NOT EDIT.\n", t.Kind)
 	fmt.Fprintf(&sb, "func %s(f [%d]float64) int {\n", name, int(ran.NumFeatures))
-	var emit func(n *treeNode, depth int)
-	emit = func(n *treeNode, depth int) {
-		pad := strings.Repeat("\t", depth)
-		if n.leaf {
-			fmt.Fprintf(&sb, "%sreturn %d\n", pad, n.leafID)
-			return
+	if len(t.nodes) == 0 {
+		sb.WriteString("\treturn 0\n")
+	}
+	// Pre-order emits each if-block's then-branch (the left subtree) right
+	// after its condition; the block closes just before the right child.
+	depth := t.depths()
+	closes := make([]bool, len(t.nodes))
+	for i := range t.nodes {
+		n := &t.nodes[i]
+		pad := strings.Repeat("\t", depth[i]+1)
+		if closes[i] {
+			fmt.Fprintf(&sb, "%s}\n", pad[1:])
+		}
+		if n.isLeaf() {
+			fmt.Fprintf(&sb, "%sreturn %d\n", pad, n.right)
+			continue
 		}
 		fmt.Fprintf(&sb, "%sif f[%d] <= %v {\n", pad, int(n.feature), n.threshold)
-		emit(n.left, depth+1)
-		fmt.Fprintf(&sb, "%s}\n", pad)
-		emit(n.right, depth+1)
-	}
-	if t.root != nil {
-		emit(t.root, 1)
-	} else {
-		sb.WriteString("\treturn 0\n")
+		closes[n.right] = true
 	}
 	sb.WriteString("}\n")
 	return sb.String()
