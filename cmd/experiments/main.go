@@ -61,6 +61,30 @@ func captureTelemetry(o experiments.Options, tracePath, metricsPath string) erro
 	return nil
 }
 
+// writeCSV writes res's data series to dir/<name>.csv. It does nothing when
+// dir is empty or res has no CSV form (does not implement
+// experiments.Tabular).
+func writeCSV(dir, name string, res fmt.Stringer) error {
+	t, ok := res.(experiments.Tabular)
+	if dir == "" || !ok {
+		return nil
+	}
+	path := filepath.Join(dir, name+".csv")
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = experiments.WriteCSV(t, f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "wrote %s\n", path)
+	return nil
+}
+
 func main() {
 	seed := flag.Uint64("seed", 42, "deterministic seed")
 	scale := flag.Float64("scale", 0.25, "duration scale (1.0 = full experiment quality)")
@@ -111,12 +135,19 @@ func main() {
 	}()
 
 	if *list {
-		for _, n := range experiments.Names {
-			fmt.Println(n)
+		for _, e := range experiments.Experiments {
+			fmt.Println(e.Name)
 		}
 		return
 	}
 	o := experiments.Options{Seed: *seed, Scale: *scale, TrainingSlots: *training, Workers: *workers}
+	// emit prints a result's text table and, with -csv, writes its CSV form.
+	emit := func(name string, res fmt.Stringer) error {
+		if _, err := fmt.Println(res.String()); err != nil {
+			return err
+		}
+		return writeCSV(*csvDir, name, res)
+	}
 	if *autopsyOut != "" {
 		spec := *faultsSpec
 		if spec == "sweep" {
@@ -193,63 +224,21 @@ func main() {
 	}
 	if *faultsSpec != "" {
 		res, err := experiments.RunChaos(o, *faultsSpec)
+		if err == nil {
+			err = emit("chaos", res)
+		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
 			os.Exit(1)
 		}
-		fmt.Println(res.String())
-		if *csvDir != "" {
-			path := filepath.Join(*csvDir, "chaos.csv")
-			f, err := os.Create(path)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "error:", err)
-				os.Exit(1)
-			}
-			err = experiments.WriteCSV(res, f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "error:", err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", path)
-		}
 		return
 	}
-	names := flag.Args()
-	if len(names) == 0 && *csvDir == "" {
-		// Full regeneration goes through RunAll so experiments fan out
-		// across workers; the rendered output is identical to running each
-		// name in order.
-		if err := experiments.RunAll(o, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if len(names) == 0 {
-		names = experiments.Names
-	}
-	for _, name := range names {
-		if err := experiments.Run(name, o, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
-		}
-		if *csvDir != "" {
-			path := filepath.Join(*csvDir, name+".csv")
-			f, err := os.Create(path)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "error:", err)
-				os.Exit(1)
-			}
-			err = experiments.RunCSV(name, o, f)
-			f.Close()
-			if err != nil {
-				os.Remove(path) // experiment has no CSV form
-			} else {
-				fmt.Fprintf(os.Stderr, "wrote %s\n", path)
-			}
-		}
+	// Every experiment run goes through Each, so the named (or all)
+	// experiments fan out across workers; the rendered output is identical
+	// to running each name in order, and the text and the CSV come from the
+	// same result.
+	if err := experiments.Each(o, flag.Args(), emit); err != nil {
+		fmt.Fprintln(os.Stderr, "error:", err)
+		os.Exit(1)
 	}
 }

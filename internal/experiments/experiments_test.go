@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -349,14 +350,21 @@ func TestTable4(t *testing.T) {
 }
 
 func TestRunByName(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Run("fig6", quick(t), &buf); err != nil {
+	var got []string
+	err := Each(quick(t), []string{"fig6"}, func(name string, res fmt.Stringer) error {
+		got = append(got, name)
+		if !strings.Contains(res.String(), "LDPC") {
+			t.Error("missing output")
+		}
+		return nil
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "LDPC") {
-		t.Error("missing output")
+	if len(got) != 1 || got[0] != "fig6" {
+		t.Fatalf("emitted %v, want [fig6]", got)
 	}
-	if err := Run("nope", Quick(), &buf); err == nil {
+	if err := Each(Quick(), []string{"nope"}, nil); err == nil {
 		t.Error("unknown experiment accepted")
 	}
 }
@@ -477,9 +485,6 @@ func TestCSVExport(t *testing.T) {
 	}
 	if strings.Count(out, "\n") != 16 { // header + 15 rows
 		t.Fatalf("row count wrong:\n%s", out)
-	}
-	if err := RunCSV("nope", o, &buf); err == nil {
-		t.Fatal("unknown CSV experiment accepted")
 	}
 }
 
