@@ -9,15 +9,9 @@
 //     (Segment) and modulation orders (Modulation) from here.
 //
 // No task runtime the scheduler or the predictor sees comes from this
-// package; those come from the cost model. The LDPC code is a seeded construction of the
-// same shape as the 38.212 base graphs, a substitution documented in
-// DESIGN.md.
-//
-// Four standalone primitives that nothing outside this package calls yet
-// remain: CRC attachment (crc.go), the FFT and CP-OFDM (fft.go), Gold-sequence
-// scrambling (scramble.go) and the convolutional code with its Viterbi
-// decoder (viterbi.go). They share no code with the two jobs above and are
-// queued for deletion (ROADMAP item 4).
+// package; those come from the cost model. The LDPC code is a seeded
+// construction of the same shape as the 38.212 base graphs, a substitution
+// documented in DESIGN.md.
 package phy
 
 import (
