@@ -363,12 +363,6 @@ func (a *Accelerator) DeviceCount() int {
 	return len(a.devs)
 }
 
-// DeviceDown reports whether device dev is currently in reset.
-func (a *Accelerator) DeviceDown(dev int) bool {
-	a.reconcileShape()
-	return dev >= 0 && dev < len(a.devs) && a.devs[dev].down
-}
-
 // drainPending removes completed entries (done ≤ now) in place.
 func drainPending(q []sim.Time, now sim.Time) []sim.Time {
 	w := 0
@@ -479,12 +473,4 @@ func (a *Accelerator) SubmitBatch(now sim.Time, kind ran.TaskKind, codeblocks []
 // zero-with-error result as "free".
 func (a *Accelerator) Expected(kind ran.TaskKind, codeblocks int) (sim.Time, error) {
 	return a.processing(kind, codeblocks)
-}
-
-// Utilization returns device busy time over lanes × elapsed.
-func (a *Accelerator) Utilization(elapsed sim.Time) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	return a.Busy.Seconds() / (float64(a.Lanes) * elapsed.Seconds())
 }

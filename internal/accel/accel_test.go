@@ -100,12 +100,9 @@ func TestSubmitAfterIdle(t *testing.T) {
 
 func TestUtilization(t *testing.T) {
 	a := New(2, sim.FromUs(10), sim.FromUs(1))
-	a.Submit(0, ran.TaskLDPCDecode, 5) // 50µs busy
-	if u := a.Utilization(sim.FromUs(100)); u < 0.24 || u > 0.26 {
-		t.Fatalf("utilization %v want 0.25 (50µs of 200 lane-µs)", u)
-	}
-	if a.Utilization(0) != 0 {
-		t.Fatal("zero elapsed must give zero utilization")
+	a.Submit(0, ran.TaskLDPCDecode, 5)
+	if a.Busy != sim.FromUs(50) {
+		t.Fatalf("busy %v want 50us (5 codeblocks at 10us)", a.Busy)
 	}
 }
 
@@ -181,7 +178,7 @@ func TestExpectedInvalidRate(t *testing.T) {
 
 // Regression: Submit only sized the lane table when it was empty, so raising
 // Lanes after construction kept scanning the stale shorter table while
-// Utilization divided by the new Lanes — silently under-using engines.
+// utilization was computed over the new Lanes — silently under-using engines.
 func TestLanesRaisedAfterConstruction(t *testing.T) {
 	a := New(1, sim.FromUs(10), sim.FromUs(1))
 	d1, _ := a.Submit(0, ran.TaskLDPCDecode, 1)

@@ -171,8 +171,9 @@ func TestProbeInvariantsUnderContention(t *testing.T) {
 			if accepted == 0 {
 				t.Fatal("contention run accepted no requests")
 			}
-			if u := a.Utilization(maxDone); u <= 0 || u > 1.0 {
-				t.Fatalf("utilization %v out of (0, 1]", u)
+			// Utilization in (0, 1]: busy engine-time within lanes × span.
+			if span := sim.Time(a.Lanes) * maxDone; a.Busy <= 0 || a.Busy > span {
+				t.Fatalf("busy %v out of (0, %v]", a.Busy, span)
 			}
 		})
 	}

@@ -300,12 +300,6 @@ type Stats struct {
 	DeviceResets     uint64
 }
 
-// Total sums all injected faults.
-func (s Stats) Total() uint64 {
-	return s.LaneFailures + s.StuckOffloads + s.Overruns + s.Bursts +
-		s.Storms + s.FronthaulLate + s.FronthaulDropped + s.DeviceResets
-}
-
 // Injector makes the per-event fault decisions for one simulation run. All
 // methods are nil-receiver safe (a nil *Injector injects nothing), mirroring
 // the telemetry disabled-path idiom, so integration sites stay branch-cheap.

@@ -64,7 +64,7 @@ func TestNilInjectorIsInert(t *testing.T) {
 	if in.DeviceDown(0, sim.Second) {
 		t.Fatal("nil injector injected a device reset")
 	}
-	if in.Stats().Total() != 0 {
+	if in.Stats() != (Stats{}) {
 		t.Fatal("nil injector counted faults")
 	}
 }

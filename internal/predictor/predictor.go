@@ -86,9 +86,6 @@ func (r *RingBuffer) Push(v sim.Time) {
 // Max returns the largest stored observation, or 0 when empty.
 func (r *RingBuffer) Max() sim.Time { return r.max }
 
-// Len returns the number of stored observations.
-func (r *RingBuffer) Len() int { return len(r.buf) }
-
 // Values returns the stored observations (not a copy; callers must not
 // mutate). Once the buffer has wrapped, the order is the slot order, not
 // the arrival order.

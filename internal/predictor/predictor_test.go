@@ -37,14 +37,14 @@ func profileDecode(n int, seed uint64, env costmodel.Env) []Sample {
 
 func TestRingBufferBasics(t *testing.T) {
 	r := NewRingBuffer(3)
-	if r.Max() != 0 || r.Len() != 0 {
+	if r.Max() != 0 || len(r.buf) != 0 {
 		t.Fatal("empty buffer state")
 	}
 	r.Push(5)
 	r.Push(9)
 	r.Push(2)
-	if r.Max() != 9 || r.Len() != 3 {
-		t.Fatalf("max %v len %d", r.Max(), r.Len())
+	if r.Max() != 9 || len(r.buf) != 3 {
+		t.Fatalf("max %v len %d", r.Max(), len(r.buf))
 	}
 	// Eviction order: oldest first.
 	r.Push(1) // evicts 5
@@ -281,8 +281,8 @@ func TestTreeRespectsBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tree.Depth() > 3 {
-		t.Fatalf("depth %d exceeds bound", tree.Depth())
+	if tree.depth() > 3 {
+		t.Fatalf("depth %d exceeds bound", tree.depth())
 	}
 	if tree.NumLeaves() > 6 {
 		t.Fatalf("leaves %d exceed bound", tree.NumLeaves())
@@ -476,7 +476,7 @@ func BenchmarkTreePredict(b *testing.B) {
 	for id := range tree.leaves {
 		ring := &tree.leaves[id].ring
 		train := slices.Clone(ring.Values())
-		for i := 0; ring.Len() < DefaultRingSize; i++ {
+		for i := 0; len(ring.buf) < DefaultRingSize; i++ {
 			ring.Push(train[i%len(train)])
 		}
 	}
@@ -493,7 +493,7 @@ func BenchmarkTreePredict(b *testing.B) {
 func BenchmarkRingBufferPushDecreasing(b *testing.B) {
 	r := NewRingBuffer(DefaultRingSize)
 	v := sim.Time(1 << 40)
-	for r.Len() < DefaultRingSize {
+	for len(r.buf) < DefaultRingSize {
 		r.Push(v)
 		v--
 	}
@@ -587,8 +587,8 @@ func TestRingBufferWrapAround(t *testing.T) {
 	for _, v := range []sim.Time{30, 10, 20} {
 		r.Push(v)
 	}
-	if r.Len() != 3 {
-		t.Fatalf("partial len %d, want 3", r.Len())
+	if len(r.buf) != 3 {
+		t.Fatalf("partial len %d, want 3", len(r.buf))
 	}
 	if got := r.Max(); got != 30 {
 		t.Fatalf("partial max %v, want 30", got)
@@ -601,8 +601,8 @@ func TestRingBufferWrapAround(t *testing.T) {
 	for _, v := range []sim.Time{5, 6, 7, 8, 9, 11} {
 		r.Push(v)
 	}
-	if r.Len() != 4 {
-		t.Fatalf("wrapped len %d, want 4", r.Len())
+	if len(r.buf) != 4 {
+		t.Fatalf("wrapped len %d, want 4", len(r.buf))
 	}
 	if got := r.Max(); got != 11 {
 		t.Fatalf("wrapped max %v, want 11 (evicted 30 must not survive)", got)

@@ -369,8 +369,8 @@ func (t *QuantileTree) depths() []int {
 	return d
 }
 
-// Depth returns the maximum depth of the tree (root = 0).
-func (t *QuantileTree) Depth() int {
+// depth returns the maximum depth of the tree (root = 0).
+func (t *QuantileTree) depth() int {
 	deepest := 0
 	for _, d := range t.depths() {
 		if d > deepest {

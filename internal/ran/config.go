@@ -28,9 +28,6 @@ func (n Numerology) SlotDuration() sim.Time {
 	return sim.Millisecond >> uint(n)
 }
 
-// SlotsPerSecond returns the number of TTIs per second.
-func (n Numerology) SlotsPerSecond() int { return 1000 << uint(n) }
-
 // Generation selects the RAT generation: it picks the coding path of the
 // data channels (4G turbo vs 5G LDPC, §A.1).
 type Generation int
@@ -133,14 +130,6 @@ func (c CellConfig) SlotDir(slot int) SlotDir {
 		pat = DefaultTDDPattern
 	}
 	return pat[slot%len(pat)]
-}
-
-// PeakSlotBytes returns the maximum MAC payload bytes one slot can carry in
-// the given direction, derived from the top MCS and full PRB allocation.
-func (c CellConfig) PeakSlotBytes(dir SlotDir) int {
-	mcs := MCSTable[len(MCSTable)-1]
-	tbs := TransportBlockSize(c.PRBs(), mcs, c.MaxLayers)
-	return tbs / 8 * c.MaxUEs / c.MaxUEs // per-slot ceiling shared across UEs
 }
 
 // Preset cell configurations matching the paper's Table 1/Table 2.

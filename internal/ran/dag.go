@@ -164,9 +164,9 @@ func (d *DAG) Roots() []int {
 	return d.roots
 }
 
-// Validate checks structural invariants: dependencies in range, acyclic by
+// validate checks structural invariants: dependencies in range, acyclic by
 // topological index, and at least one root when non-empty.
-func (d *DAG) Validate() error {
+func (d *DAG) validate() error {
 	for _, t := range d.Tasks {
 		for _, dep := range t.Deps {
 			if dep < 0 || dep >= len(d.Tasks) {

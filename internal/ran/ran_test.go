@@ -20,9 +20,6 @@ func TestNumerologySlotDurations(t *testing.T) {
 			t.Errorf("mu=%d slot %v want %v", mu, got, want)
 		}
 	}
-	if Mu1.SlotsPerSecond() != 2000 {
-		t.Errorf("mu=1 slots/s %d", Mu1.SlotsPerSecond())
-	}
 }
 
 func TestCellConfigValidate(t *testing.T) {
@@ -191,7 +188,7 @@ func TestUplinkDAGStructure(t *testing.T) {
 	cfg := Cells100MHz(1)[0]
 	allocs := makeAllocs(r, cfg, 20000)
 	d := BuildUplinkDAG(cfg, 0, 0, sim.FromMs(1.5), allocs)
-	if err := d.Validate(); err != nil {
+	if err := d.validate(); err != nil {
 		t.Fatal(err)
 	}
 	// Roots: antenna FFTs + control polar decode.
@@ -241,7 +238,7 @@ func TestDownlinkDAGStructure(t *testing.T) {
 	cfg := Cells100MHz(1)[0]
 	allocs := makeAllocs(r, cfg, 40000)
 	d := BuildDownlinkDAG(cfg, 0, 0, sim.FromMs(1.5), allocs)
-	if err := d.Validate(); err != nil {
+	if err := d.validate(); err != nil {
 		t.Fatal(err)
 	}
 	counts := map[TaskKind]int{}
@@ -335,7 +332,7 @@ func TestDAGDeterminism(t *testing.T) {
 func TestMACDAGStructure(t *testing.T) {
 	cfg := Cells20MHz(1)[0]
 	d := BuildMACDAG(cfg, 5, 0, sim.Millisecond, 8)
-	if err := d.Validate(); err != nil {
+	if err := d.validate(); err != nil {
 		t.Fatal(err)
 	}
 	if len(d.Tasks) != 3 {

@@ -109,15 +109,6 @@ func mul64(x, y uint64) (hi, lo uint64) {
 	return
 }
 
-// Int63n returns a uniform sample in [0, n) for 64-bit ranges.
-func (r *Rand) Int63n(n int64) int64 {
-	if n <= 0 {
-		panic("rng: Int63n with non-positive n")
-	}
-	hi, _ := mul64(r.Uint64(), uint64(n))
-	return int64(hi)
-}
-
 // Bool returns true with probability p.
 func (r *Rand) Bool(p float64) bool { return r.Float64() < p }
 
@@ -193,17 +184,4 @@ func (r *Rand) Poisson(lambda float64) int {
 // Uniform returns a uniform sample in [lo, hi).
 func (r *Rand) Uniform(lo, hi float64) float64 {
 	return lo + (hi-lo)*r.Float64()
-}
-
-// Perm returns a random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
 }

@@ -139,12 +139,9 @@ func NewEngine() *Engine { return &Engine{} }
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Fired returns the number of events executed so far.
-func (e *Engine) Fired() uint64 { return e.fired }
-
-// Pending returns the number of events still queued (including canceled ones
+// pending returns the number of events still queued (including canceled ones
 // that have not been dropped or compacted away yet).
-func (e *Engine) Pending() int { return len(e.queue) }
+func (e *Engine) pending() int { return len(e.queue) }
 
 // SetProbe installs an observer invoked before each dispatched event with
 // the event's timestamp and the pending-queue depth (the dispatched event
@@ -363,8 +360,8 @@ func (e *Engine) pop() event {
 	return root
 }
 
-// Stop halts Run before the next event is dispatched.
-func (e *Engine) Stop() { e.stopped = true }
+// stop halts Run before the next event is dispatched.
+func (e *Engine) stop() { e.stopped = true }
 
 // Step executes the single earliest pending event, advancing the clock to
 // its timestamp. It returns false when the queue is empty.
@@ -416,23 +413,23 @@ func (e *Engine) Run(until Time) {
 	}
 }
 
-// RunAll executes every pending event regardless of horizon.
-func (e *Engine) RunAll() {
+// runAll executes every pending event regardless of horizon.
+func (e *Engine) runAll() {
 	e.stopped = false
 	for !e.stopped && e.Step() {
 	}
 }
 
 // Ticker repeatedly invokes fn every period, starting at start, until either
-// Stop is called or the engine stops scheduling. Re-arming goes through the
+// stop is called or the engine stops scheduling. Re-arming goes through the
 // typed-event path, so a steady ticker allocates nothing after creation.
 type Ticker struct {
-	eng    *Engine
-	id     int64
-	period Time
-	fn     func(Time)
-	ev     EventHandle
-	stop   bool
+	eng     *Engine
+	id      int64
+	period  Time
+	fn      func(Time)
+	ev      EventHandle
+	stopped bool
 }
 
 // NewTicker registers a periodic callback. fn receives the tick time. The
@@ -451,18 +448,18 @@ func NewTicker(e *Engine, start, period Time, fn func(Time)) *Ticker {
 }
 
 func (t *Ticker) tick() {
-	if t.stop {
+	if t.stopped {
 		return
 	}
 	now := t.eng.Now()
 	t.fn(now)
-	if !t.stop {
+	if !t.stopped {
 		t.ev = t.eng.AtKind(now+t.period, t.eng.tickerKind, t.id, 0)
 	}
 }
 
-// Stop cancels future ticks.
-func (t *Ticker) Stop() {
-	t.stop = true
+// stop cancels future ticks.
+func (t *Ticker) stop() {
+	t.stopped = true
 	t.eng.Cancel(t.ev)
 }

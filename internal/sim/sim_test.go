@@ -13,7 +13,7 @@ func TestEventsFireInTimestampOrder(t *testing.T) {
 		at := at
 		e.At(at, func() { got = append(got, at) })
 	}
-	e.RunAll()
+	e.runAll()
 	for i := 1; i < len(got); i++ {
 		if got[i] < got[i-1] {
 			t.Fatalf("out of order: %v", got)
@@ -31,7 +31,7 @@ func TestSameTimestampFIFO(t *testing.T) {
 		i := i
 		e.At(100, func() { got = append(got, i) })
 	}
-	e.RunAll()
+	e.runAll()
 	for i, v := range got {
 		if v != i {
 			t.Fatalf("same-time events not FIFO: %v", got)
@@ -51,7 +51,7 @@ func TestClockAdvances(t *testing.T) {
 			}
 		})
 	})
-	e.RunAll()
+	e.runAll()
 	if e.Now() != 15 {
 		t.Fatalf("final clock %v want 15", e.Now())
 	}
@@ -67,7 +67,7 @@ func TestSchedulingInPastPanics(t *testing.T) {
 		}()
 		e.At(50, func() {})
 	})
-	e.RunAll()
+	e.runAll()
 }
 
 func TestCancel(t *testing.T) {
@@ -86,7 +86,7 @@ func TestCancel(t *testing.T) {
 	if e.Scheduled(ev) {
 		t.Fatal("Scheduled() true after Cancel")
 	}
-	e.RunAll()
+	e.runAll()
 	if fired {
 		t.Fatal("canceled event fired")
 	}
@@ -101,7 +101,7 @@ func TestCancelIdempotent(t *testing.T) {
 	if e.Cancel(ev) {
 		t.Fatal("second Cancel returned true")
 	}
-	e.RunAll()
+	e.runAll()
 }
 
 func TestCancelZeroHandleNoop(t *testing.T) {
@@ -119,7 +119,7 @@ func TestCancelZeroHandleNoop(t *testing.T) {
 func TestStaleHandleCannotCancelRecycledSlot(t *testing.T) {
 	e := NewEngine()
 	h1 := e.At(10, func() {})
-	e.RunAll() // fires, frees the slot
+	e.runAll() // fires, frees the slot
 	fired := false
 	h2 := e.At(20, func() { fired = true }) // recycles the slot
 	if e.Cancel(h1) {
@@ -128,7 +128,7 @@ func TestStaleHandleCannotCancelRecycledSlot(t *testing.T) {
 	if !e.Scheduled(h2) {
 		t.Fatal("new event lost")
 	}
-	e.RunAll()
+	e.runAll()
 	if !fired {
 		t.Fatal("recycled-slot event did not fire")
 	}
@@ -150,7 +150,7 @@ func TestCancelHeavyQueueBounded(t *testing.T) {
 			e.Cancel(h)
 		}
 		handles = handles[:0]
-		if p := e.Pending(); p > maxPending {
+		if p := e.pending(); p > maxPending {
 			maxPending = p
 		}
 	}
@@ -159,8 +159,8 @@ func TestCancelHeavyQueueBounded(t *testing.T) {
 	if maxPending > 4*live {
 		t.Fatalf("canceled events accumulated: max pending %d for %d live", maxPending, live)
 	}
-	if e.Pending() > 2*live {
-		t.Fatalf("final pending %d not compacted", e.Pending())
+	if e.pending() > 2*live {
+		t.Fatalf("final pending %d not compacted", e.pending())
 	}
 }
 
@@ -182,7 +182,7 @@ func TestCompactionPreservesOrder(t *testing.T) {
 	for _, h := range cancel {
 		e.Cancel(h) // triggers compaction partway through
 	}
-	e.RunAll()
+	e.runAll()
 	if len(got) != len(keep) {
 		t.Fatalf("fired %d events, want %d", len(got), len(keep))
 	}
@@ -199,7 +199,7 @@ func TestTypedEvents(t *testing.T) {
 	k := e.RegisterKind(func(a, b int64) { got = append(got, [2]int64{a, b}) })
 	e.AtKind(10, k, 1, 2)
 	e.AfterKind(5, k, 3, 4)
-	e.RunAll()
+	e.runAll()
 	want := [][2]int64{{3, 4}, {1, 2}}
 	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
 		t.Fatalf("typed events got %v want %v", got, want)
@@ -213,7 +213,7 @@ func TestTypedAndClosureEventsInterleaveFIFO(t *testing.T) {
 	e.AtKind(10, k, 0, 0)
 	e.At(10, func() { got = append(got, 1) })
 	e.AtKind(10, k, 2, 0)
-	e.RunAll()
+	e.runAll()
 	if len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
 		t.Fatalf("interleave order %v", got)
 	}
@@ -259,9 +259,9 @@ func TestRunAdvancesToHorizonWhenEmpty(t *testing.T) {
 func TestStop(t *testing.T) {
 	e := NewEngine()
 	count := 0
-	e.At(10, func() { count++; e.Stop() })
+	e.At(10, func() { count++; e.stop() })
 	e.At(20, func() { count++ })
-	e.RunAll()
+	e.runAll()
 	if count != 1 {
 		t.Fatalf("Stop did not halt run: count=%d", count)
 	}
@@ -290,7 +290,7 @@ func TestTickerStop(t *testing.T) {
 	tk = NewTicker(e, 0, 10, func(Time) {
 		count++
 		if count == 3 {
-			tk.Stop()
+			tk.stop()
 		}
 	})
 	e.Run(1000)
@@ -312,15 +312,15 @@ func TestPendingAndFiredCounters(t *testing.T) {
 	e := NewEngine()
 	e.At(1, func() {})
 	e.At(2, func() {})
-	if e.Pending() != 2 {
-		t.Fatalf("pending %d want 2", e.Pending())
+	if e.pending() != 2 {
+		t.Fatalf("pending %d want 2", e.pending())
 	}
-	e.RunAll()
-	if e.Fired() != 2 {
-		t.Fatalf("fired %d want 2", e.Fired())
+	e.runAll()
+	if e.fired != 2 {
+		t.Fatalf("fired %d want 2", e.fired)
 	}
-	if e.Pending() != 0 {
-		t.Fatalf("pending %d want 0 after run", e.Pending())
+	if e.pending() != 0 {
+		t.Fatalf("pending %d want 0 after run", e.pending())
 	}
 }
 
@@ -336,7 +336,7 @@ func TestPropertyOrdering(t *testing.T) {
 			at2 := at
 			e.At(at2, func() { got = append(got, at2) })
 		}
-		e.RunAll()
+		e.runAll()
 		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 		if len(got) != len(want) {
 			return false
@@ -382,7 +382,7 @@ func TestPropertyCancelInterleaving(t *testing.T) {
 				wantIdx = append(wantIdx[:victim], wantIdx[victim+1:]...)
 			}
 		}
-		e.RunAll()
+		e.runAll()
 		sort.SliceStable(want, func(i, j int) bool { return want[i].at < want[j].at })
 		if len(got) != len(want) {
 			return false
@@ -408,7 +408,7 @@ func TestTypedScheduleFireZeroAlloc(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		e.AfterKind(Time(i), k, 0, 0)
 	}
-	e.RunAll()
+	e.runAll()
 	allocs := testing.AllocsPerRun(1000, func() {
 		e.AfterKind(10, k, 1, 2)
 		e.Step()
@@ -424,7 +424,7 @@ func TestScheduleCancelZeroAlloc(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		e.Cancel(e.AfterKind(Time(i), k, 0, 0))
 	}
-	e.RunAll()
+	e.runAll()
 	allocs := testing.AllocsPerRun(1000, func() {
 		h := e.AfterKind(10, k, 0, 0)
 		e.Cancel(h)
@@ -474,11 +474,11 @@ func BenchmarkScheduleAndFire(b *testing.B) {
 	e := NewEngine()
 	for i := 0; i < b.N; i++ {
 		e.After(Time(i%100), func() {})
-		if e.Pending() > 1024 {
-			e.RunAll()
+		if e.pending() > 1024 {
+			e.runAll()
 		}
 	}
-	e.RunAll()
+	e.runAll()
 }
 
 func BenchmarkTypedScheduleAndFire(b *testing.B) {
@@ -487,9 +487,9 @@ func BenchmarkTypedScheduleAndFire(b *testing.B) {
 	k := e.RegisterKind(func(a, b int64) {})
 	for i := 0; i < b.N; i++ {
 		e.AfterKind(Time(i%100), k, 0, 0)
-		if e.Pending() > 1024 {
-			e.RunAll()
+		if e.pending() > 1024 {
+			e.runAll()
 		}
 	}
-	e.RunAll()
+	e.runAll()
 }

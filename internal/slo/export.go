@@ -84,28 +84,12 @@ func (t *Tracker) Rows() []WindowRow {
 	return out
 }
 
-// RowsEvicted returns how many rows the ring overwrote.
-func (t *Tracker) RowsEvicted() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.rowsEvicted
-}
-
 // Alerts returns the alert timeline in emission order.
 func (t *Tracker) Alerts() []AlertRow {
 	if t == nil {
 		return nil
 	}
 	return append([]AlertRow(nil), t.alerts...)
-}
-
-// AlertsDropped returns how many alert transitions overflowed the timeline.
-func (t *Tracker) AlertsDropped() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.alertsDropped
 }
 
 // FirstFiring returns the virtual time of the first firing alert
@@ -137,14 +121,14 @@ func (t *Tracker) AlertsFired() int {
 
 // SliceSummary is one slice's run-level SLO accounting.
 type SliceSummary struct {
-	Slice       int32
-	Name        string
-	Quantile    float64
-	TargetUs    float64
-	MissBudget  float64
-	Attempts    uint64
-	Misses      uint64
-	MissRate    float64
+	Slice      int32
+	Name       string
+	Quantile   float64
+	TargetUs   float64
+	MissBudget float64
+	Attempts   uint64
+	Misses     uint64
+	MissRate   float64
 	// BudgetRemaining is 1 - MissRate/MissBudget: the unconsumed fraction
 	// of the error budget (negative when overdrawn).
 	BudgetRemaining float64

@@ -35,7 +35,7 @@ type SketchConfig struct {
 	MinValue float64
 	// MaxValue is the largest magnitude (in ns) resolved at the error
 	// bound; records beyond it clamp into the outermost bucket and are
-	// counted in Clamped. 0 selects DefaultMaxValue.
+	// counted as clamped. 0 selects DefaultMaxValue.
 	MaxValue float64
 }
 
@@ -107,9 +107,6 @@ func NewSketch(cfg SketchConfig) *Sketch {
 	}
 }
 
-// Config returns the sketch's resolved resolution.
-func (s *Sketch) Config() SketchConfig { return s.cfg }
-
 // bucketOf maps a magnitude (>= MinValue by construction of the callers)
 // to its store slot, clamping out-of-range indices into the outermost
 // buckets.
@@ -153,31 +150,14 @@ func (s *Sketch) Record(v int64) {
 	}
 }
 
-// Count returns the number of recorded values.
-func (s *Sketch) Count() uint64 { return s.count }
-
-// Sum returns the exact integer sum of recorded values (ns).
-func (s *Sketch) Sum() int64 { return s.sum }
-
-// Min and Max return the exact extrema; zero when the sketch is empty.
+// Min returns the exact minimum recorded value; zero when the sketch is
+// empty.
 func (s *Sketch) Min() int64 {
 	if s.count == 0 {
 		return 0
 	}
 	return s.min
 }
-
-// Max returns the exact maximum recorded value.
-func (s *Sketch) Max() int64 {
-	if s.count == 0 {
-		return 0
-	}
-	return s.max
-}
-
-// Clamped returns how many records fell outside the configured magnitude
-// range (the error bound does not cover them).
-func (s *Sketch) Clamped() uint64 { return s.clamped }
 
 // estimate returns the midpoint value of store slot i: within Alpha
 // relative error of every value the bucket covers.

@@ -27,10 +27,10 @@ func checkAccuracy(t *testing.T, name string, vals []int64) {
 		s.Record(v)
 		fs[i] = float64(v)
 	}
-	if s.Clamped() != 0 {
-		t.Fatalf("%s: %d values clamped out of configured range; test must stay in range", name, s.Clamped())
+	if s.clamped != 0 {
+		t.Fatalf("%s: %d values clamped out of configured range; test must stay in range", name, s.clamped)
 	}
-	alpha := s.Config().Alpha
+	alpha := s.cfg.Alpha
 	for _, q := range accQs {
 		exact := stats.Quantile(fs, q)
 		got := s.Quantile(q)
@@ -38,8 +38,8 @@ func checkAccuracy(t *testing.T, name string, vals []int64) {
 		// below it collapse into the exact-zero bucket, whose absolute
 		// error is below MinValue by construction.
 		bound := alpha*math.Abs(exact) + 1e-9*math.Abs(exact)
-		if math.Abs(exact) < s.Config().MinValue {
-			bound += s.Config().MinValue
+		if math.Abs(exact) < s.cfg.MinValue {
+			bound += s.cfg.MinValue
 		}
 		if math.Abs(got-exact) > bound {
 			t.Errorf("%s q=%v: sketch %.6g vs exact %.6g (err %.3g > bound %.3g)",
@@ -49,7 +49,7 @@ func checkAccuracy(t *testing.T, name string, vals []int64) {
 	if got, want := s.Quantile(0), float64(s.Min()); got != want {
 		t.Errorf("%s: Quantile(0)=%v, want exact min %v", name, got, want)
 	}
-	if got, want := s.Quantile(1), float64(s.Max()); got != want {
+	if got, want := s.Quantile(1), float64(s.max); got != want {
 		t.Errorf("%s: Quantile(1)=%v, want exact max %v", name, got, want)
 	}
 }
@@ -130,7 +130,7 @@ func mustMerge(t *testing.T, dst, src *Sketch) {
 
 func sketchEqual(a, b *Sketch) bool {
 	if a.zero != b.zero || a.count != b.count || a.sum != b.sum ||
-		a.clamped != b.clamped || a.Min() != b.Min() || a.Max() != b.Max() {
+		a.clamped != b.clamped || a.Min() != b.Min() || a.max != b.max {
 		return false
 	}
 	for i := range a.pos {
@@ -203,8 +203,8 @@ func TestSketchMergeConfigMismatch(t *testing.T) {
 func TestSketchClampCounted(t *testing.T) {
 	s := NewSketch(SketchConfig{})
 	s.Record(int64(32e9)) // above MaxValue
-	if s.Clamped() != 1 {
-		t.Fatalf("Clamped=%d, want 1", s.Clamped())
+	if s.clamped != 1 {
+		t.Fatalf("clamped=%d, want 1", s.clamped)
 	}
 	if s.Quantile(0.5) <= 0 {
 		t.Fatal("clamped value should still land in the outermost bucket")
@@ -217,7 +217,7 @@ func TestSketchResetReuses(t *testing.T) {
 		s.Record(int64(1e5 + float64(i)*1e4))
 	}
 	s.Reset()
-	if s.Count() != 0 || s.Sum() != 0 || s.Quantile(0.5) != 0 {
+	if s.count != 0 || s.sum != 0 || s.Quantile(0.5) != 0 {
 		t.Fatal("Reset did not empty the sketch")
 	}
 	allocs := testing.AllocsPerRun(100, func() {

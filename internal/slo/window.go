@@ -152,9 +152,6 @@ func New(opts Options, trc *telemetry.Tracer) *Tracker {
 	return t
 }
 
-// Options returns the tracker's resolved options.
-func (t *Tracker) Options() Options { return t.opts }
-
 // sliceFor clamps a SliceOf result into the configured objective range.
 func (t *Tracker) sliceFor(cell int32) int32 {
 	s := t.opts.SliceOf(cell)
@@ -359,9 +356,9 @@ func (t *Tracker) rotate(b sim.Time) {
 				Start: t.winStart, End: b, Window: seq,
 				Cell: ks.key.Cell, Server: ks.key.Server, Slice: ks.key.Slice,
 				Attempts: ks.attempts, Misses: ks.misses,
-				P50Us:  ks.lat.QuantileUs(0.50),
-				P99Us:  ks.lat.QuantileUs(0.99),
-				P999Us: ks.lat.QuantileUs(0.999),
+				P50Us:     ks.lat.QuantileUs(0.50),
+				P99Us:     ks.lat.QuantileUs(0.99),
+				P999Us:    ks.lat.QuantileUs(0.999),
 				SlackP1Us: ks.slack.QuantileUs(0.01),
 				FastBurn:  bp.fast, SlowBurn: bp.slow, Firing: bp.firing,
 			})

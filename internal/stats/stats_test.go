@@ -574,25 +574,3 @@ func BenchmarkDistanceCorrelation(b *testing.B) {
 		_ = DistanceCorrelation(x, y)
 	}
 }
-
-func TestAutocorrelation(t *testing.T) {
-	// A strongly persistent AR(1) signal has high lag-1 ACF; white noise ~0.
-	r := rng.New(30)
-	ar := make([]float64, 5000)
-	wn := make([]float64, 5000)
-	prev := 0.0
-	for i := range ar {
-		prev = 0.9*prev + r.Normal(0, 1)
-		ar[i] = prev
-		wn[i] = r.Normal(0, 1)
-	}
-	if a := Autocorrelation(ar, 1); a < 0.8 {
-		t.Errorf("AR(1) lag-1 ACF %.2f want ~0.9", a)
-	}
-	if a := Autocorrelation(wn, 1); math.Abs(a) > 0.1 {
-		t.Errorf("white-noise lag-1 ACF %.2f want ~0", a)
-	}
-	if Autocorrelation(ar, 0) != 0 || Autocorrelation(ar, len(ar)) != 0 {
-		t.Error("invalid lags must return 0")
-	}
-}

@@ -18,13 +18,6 @@ func (c *Counter) Inc() {
 	}
 }
 
-// Add adds n.
-func (c *Counter) Add(n uint64) {
-	if c != nil {
-		c.v += n
-	}
-}
-
 // Value returns the current count.
 func (c *Counter) Value() uint64 {
 	if c == nil {
@@ -43,14 +36,6 @@ func (g *Gauge) Set(v float64) {
 	}
 }
 
-// Value returns the current value.
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return g.v
-}
-
 // Histogram buckets samples into fixed upper-bound ranges. The bounds are
 // fixed at registration (no adaptive resizing), which is what makes the
 // exported bucket set — and therefore the output bytes — independent of the
@@ -64,7 +49,7 @@ type Histogram struct {
 }
 
 // Observe records one sample. NaN and ±Inf are not observations: they are
-// dropped and counted in Invalid, rather than silently polluting the
+// dropped and counted in invalid, rather than silently polluting the
 // overflow bucket (NaN/+Inf) or the first bucket (-Inf) and poisoning the
 // sum.
 func (h *Histogram) Observe(v float64) {
@@ -81,49 +66,25 @@ func (h *Histogram) Observe(v float64) {
 	h.sum += v
 }
 
-// Invalid returns the number of dropped NaN/±Inf observations.
-func (h *Histogram) Invalid() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.invalid
-}
-
-// Total returns the number of observed samples.
-func (h *Histogram) Total() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.total
-}
-
-// Sum returns the sum of observed samples.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum
-}
-
-// Buckets returns (upper bound, count) pairs in ascending bound order; the
+// buckets returns (upper bound, count) pairs in ascending bound order; the
 // final pair has Inf=true and holds the overflow count.
-func (h *Histogram) Buckets() []HistBucket {
+func (h *Histogram) buckets() []histBucket {
 	if h == nil {
 		return nil
 	}
-	out := make([]HistBucket, len(h.counts))
+	out := make([]histBucket, len(h.counts))
 	for i, c := range h.counts {
 		if i < len(h.bounds) {
-			out[i] = HistBucket{Le: h.bounds[i], Count: c}
+			out[i] = histBucket{Le: h.bounds[i], Count: c}
 		} else {
-			out[i] = HistBucket{Inf: true, Count: c}
+			out[i] = histBucket{Inf: true, Count: c}
 		}
 	}
 	return out
 }
 
-// HistBucket is one histogram range: samples <= Le (or the +Inf overflow).
-type HistBucket struct {
+// histBucket is one histogram range: samples <= Le (or the +Inf overflow).
+type histBucket struct {
 	Le    float64
 	Inf   bool
 	Count uint64
@@ -134,9 +95,9 @@ type HistBucket struct {
 var DefaultLatencyBucketsUs = []float64{1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000}
 
 // Registry owns named metrics and the sampled time series. Registration is
-// idempotent (Counter("x") twice returns the same counter) and all iteration
-// — snapshots, CSV export — is in sorted name order, so output is
-// byte-identical across runs regardless of registration order.
+// idempotent (Counter("x") twice returns the same counter) and the CSV
+// export is in sorted name order, so output is byte-identical across runs
+// regardless of registration order.
 //
 // A nil *Registry is valid: lookups return nil metrics whose methods are
 // no-ops, and Sample does nothing.
@@ -165,11 +126,6 @@ type sampleRow struct {
 // capacity is configured: at the pool's one-sample-per-slot cadence this
 // retains over a minute of 5G numerology-1 history.
 const DefaultSampleCapacity = 1 << 17
-
-// NewRegistry returns an empty registry with the default sample capacity.
-func NewRegistry() *Registry {
-	return NewRegistryCapacity(0)
-}
 
 // NewRegistryCapacity returns an empty registry retaining the last
 // capacity sample rows (<=0 selects DefaultSampleCapacity).
@@ -271,14 +227,6 @@ func (r *Registry) Samples() int {
 	return len(r.rows)
 }
 
-// SamplesEvicted returns how many rows the ring has overwritten.
-func (r *Registry) SamplesEvicted() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.rowsEvicted
-}
-
 // sampleOrder walks the retained rows oldest-first, calling fn for each.
 func (r *Registry) sampleOrder(fn func(*sampleRow)) {
 	if r == nil {
@@ -296,58 +244,4 @@ func (r *Registry) sampleOrder(fn func(*sampleRow)) {
 	for i := 0; i < r.rowNext; i++ {
 		fn(&r.rows[i])
 	}
-}
-
-// MetricValue is one named value in a registry snapshot.
-type MetricValue struct {
-	Name  string
-	Value float64
-}
-
-// sortedKeys returns m's keys in sorted order (the maporder-sanctioned
-// iteration pattern).
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// Snapshot returns the final value of every metric, sorted by name.
-// Histograms expand to name_count, name_sum and cumulative name_le_<bound>
-// series (with name_le_inf for the overflow bucket).
-func (r *Registry) Snapshot() []MetricValue {
-	if r == nil {
-		return nil
-	}
-	out := make([]MetricValue, 0, len(r.counters)+len(r.gauges)+4*len(r.hists))
-	for _, name := range sortedKeys(r.counters) {
-		out = append(out, MetricValue{Name: name, Value: float64(r.counters[name].v)})
-	}
-	for _, name := range sortedKeys(r.gauges) {
-		out = append(out, MetricValue{Name: name, Value: r.gauges[name].v})
-	}
-	for _, name := range sortedKeys(r.hists) {
-		h := r.hists[name]
-		out = append(out, MetricValue{Name: name + "_count", Value: float64(h.total)})
-		out = append(out, MetricValue{Name: name + "_sum", Value: h.sum})
-		if h.invalid > 0 {
-			// Emitted only when NaN/±Inf were actually observed, so clean
-			// runs keep their existing snapshot bytes.
-			out = append(out, MetricValue{Name: name + "_invalid", Value: float64(h.invalid)})
-		}
-		cum := uint64(0)
-		for _, b := range h.Buckets() {
-			cum += b.Count
-			if b.Inf {
-				out = append(out, MetricValue{Name: name + "_le_inf", Value: float64(cum)})
-			} else {
-				out = append(out, MetricValue{Name: fmt.Sprintf("%s_le_%g", name, b.Le), Value: float64(cum)})
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }

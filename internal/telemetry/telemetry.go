@@ -131,10 +131,6 @@ const (
 	numEventKinds
 )
 
-// NumEventKinds is the number of defined event kinds, exported for
-// exhaustiveness checks in tests and analysis tooling.
-const NumEventKinds = int(numEventKinds)
-
 var eventKindNames = [numEventKinds]string{
 	"dag_release", "task_enqueue", "task_dispatch", "task_complete",
 	"offload_span", "dag_complete", "deadline_miss", "dag_drop",

@@ -20,8 +20,12 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 	reg.Gauge("y").Set(1)
 	reg.Histogram("z", nil).Observe(1)
 	reg.Sample(0)
-	if reg.Samples() != 0 || reg.Snapshot() != nil {
-		t.Fatal("nil registry must be inert")
+	var buf bytes.Buffer
+	if err := reg.WriteMetricsCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if reg.Samples() != 0 || buf.String() != "time_us\n" {
+		t.Fatalf("nil registry must be inert; CSV %q", buf.String())
 	}
 }
 
@@ -58,60 +62,59 @@ func TestTracerPartialFill(t *testing.T) {
 }
 
 func TestRegistryIdempotentAndSorted(t *testing.T) {
-	r := NewRegistry()
+	r := NewRegistryCapacity(0)
 	c1 := r.Counter("b_tasks")
 	c2 := r.Counter("b_tasks")
 	if c1 != c2 {
 		t.Fatal("Counter must be idempotent")
 	}
-	c1.Add(3)
-	r.Gauge("a_cores").Set(2.5)
-	r.Histogram("c_delay_us", []float64{10, 1}).Observe(5)
-	snap := r.Snapshot()
-	names := make([]string, len(snap))
-	for i, mv := range snap {
-		names[i] = mv.Name
+	if r.Gauge("c_cores") != r.Gauge("c_cores") {
+		t.Fatal("Gauge must be idempotent")
 	}
-	want := []string{"a_cores", "b_tasks", "c_delay_us_count", "c_delay_us_le_1", "c_delay_us_le_10", "c_delay_us_le_inf", "c_delay_us_sum"}
-	if strings.Join(names, " ") != strings.Join(want, " ") {
-		t.Fatalf("snapshot order %v, want %v", names, want)
+	for i := 0; i < 3; i++ {
+		c1.Inc()
 	}
-	for _, mv := range snap {
-		switch mv.Name {
-		case "b_tasks":
-			if mv.Value != 3 {
-				t.Fatalf("b_tasks = %v", mv.Value)
-			}
-		case "c_delay_us_le_1":
-			if mv.Value != 0 {
-				t.Fatalf("le_1 = %v", mv.Value)
-			}
-		case "c_delay_us_le_10":
-			if mv.Value != 1 {
-				t.Fatalf("le_10 = %v (cumulative)", mv.Value)
-			}
-		}
+	r.Gauge("c_cores").Set(2.5)
+	r.Gauge("a_util").Set(0.5)
+	r.Sample(sim.FromUs(1))
+	var buf bytes.Buffer
+	if err := r.WriteMetricsCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	// Columns follow name order, not registration order.
+	if want := "time_us,a_util,b_tasks,c_cores\n1,0.5,3,2.5\n"; buf.String() != want {
+		t.Fatalf("metrics CSV %q, want %q", buf.String(), want)
+	}
+	h := r.Histogram("d_delay_us", []float64{10, 1})
+	if r.Histogram("d_delay_us", nil) != h {
+		t.Fatal("Histogram must be idempotent")
+	}
+	h.Observe(5)
+	// Bounds are sorted at registration: 5 lands in (1, 10].
+	b := h.buckets()
+	if len(b) != 3 || b[0].Le != 1 || b[0].Count != 0 || b[1].Le != 10 || b[1].Count != 1 || !b[2].Inf {
+		t.Fatalf("buckets %+v", b)
 	}
 }
 
 func TestHistogramBucketEdges(t *testing.T) {
-	r := NewRegistry()
+	r := NewRegistryCapacity(0)
 	h := r.Histogram("h", []float64{1, 10})
 	for _, v := range []float64{0.5, 1, 1.0001, 10, 11} {
 		h.Observe(v)
 	}
-	b := h.Buckets()
+	b := h.buckets()
 	// <=1: 0.5 and 1; <=10: 1.0001 and 10; inf: 11.
 	if b[0].Count != 2 || b[1].Count != 2 || b[2].Count != 1 || !b[2].Inf {
 		t.Fatalf("bucket counts %+v", b)
 	}
-	if h.Total() != 5 {
-		t.Fatalf("total %d", h.Total())
+	if h.total != 5 {
+		t.Fatalf("total %d", h.total)
 	}
 }
 
 func TestMetricsCSVStableColumns(t *testing.T) {
-	r := NewRegistry()
+	r := NewRegistryCapacity(0)
 	r.Gauge("z").Set(1)
 	r.Sample(sim.FromUs(1))
 	r.Counter("a").Inc() // registered after the first sample
@@ -213,7 +216,7 @@ func TestChromeTraceSchema(t *testing.T) {
 func TestMetricsCSVEmptyRegistry(t *testing.T) {
 	// A registry with no metrics and no samples must export a header-only
 	// CSV — exactly the time_us column and nothing after it.
-	r := NewRegistry()
+	r := NewRegistryCapacity(0)
 	var buf bytes.Buffer
 	if err := r.WriteMetricsCSV(&buf); err != nil {
 		t.Fatal(err)
