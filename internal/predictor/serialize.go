@@ -49,6 +49,10 @@ func (t *QuantileTree) MarshalJSON() ([]byte, error) {
 		Margin:   t.Margin,
 		RingSize: DefaultRingSize,
 	}
+	// Every leaf ring has the capacity the tree was trained or loaded with.
+	if len(t.leaves) > 0 {
+		tj.RingSize = cap(t.leaves[0].ring.buf)
+	}
 	for _, f := range t.Features {
 		tj.Features = append(tj.Features, int(f))
 	}
